@@ -62,9 +62,11 @@ class ScenarioConfig:
             raise ConfigError("'N_ions' and 'V_volume' must be given together")
         if (self.field_E0z is None) == (self.P_z_override is None):
             raise ConfigError("exactly one of 'E0z' or 'P_z' must be given")
+        if not 0.0 < self.ion_concentration() < math.inf:
+            raise ConfigError("'rho' or 'N_ions'/'V_volume' must give a positive, finite "
+                              "ion concentration")
 
 
-# key -> (attribute, parser, validator, description)
 def _positive(key: str, value: float) -> float:
     if value <= 0.0:
         raise ConfigError(f"'{key}' must be positive, got {value!r}")
@@ -73,9 +75,12 @@ def _positive(key: str, value: float) -> float:
 
 def _parse_float(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"'{key}': not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"'{key}': not a finite number: {raw!r}")
+    return value
 
 
 def _parse_int(key: str, raw: str) -> int:

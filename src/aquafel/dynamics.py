@@ -79,12 +79,13 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_particles < 2:
             raise ValueError("n_particles must be >= 2")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.tau_end <= 0.0:
-            raise ValueError("tau_end must be positive")
-        if self.seed_amp <= 0.0:
-            raise ValueError("seed_amp must be positive (seed field required)")
+        for name in ("dt", "tau_end", "seed_amp"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        steps = self.tau_end / self.dt  # whole to a relative 1e-9
+        if not (steps < math.inf
+                and abs(round(steps) * self.dt - self.tau_end) <= 1e-9 * self.tau_end):
+            raise ValueError(f"tau_end = {self.tau_end!r} must be a whole number of dt steps")
         if self.init_mode not in INIT_MODES:
             raise ValueError(f"init_mode must be one of {INIT_MODES}")
         if self.record_stride < 1:
@@ -396,6 +397,11 @@ class PhysicalReadout:
 VALIDITY_RATIO_LIMIT = 1e-2
 
 
+def validity_ratio(p_max_abs: float, t_gain: float, omega_c: float) -> float:
+    """max|theta_dot|/omega_c from the largest scaled momentum |p| = |theta_dot|·t_gain."""
+    return p_max_abs / (t_gain * omega_c)
+
+
 def physical_readout(
     state: EnsembleState, coeffs: GainCoefficients, rotor: RigidRotor, n: int
 ) -> PhysicalReadout:
@@ -403,7 +409,8 @@ def physical_readout(
     A0, t = from_dimensionless(state.amp, state.tau, coeffs)
     theta_dot = state.p / coeffs.t_gain
     L = (n / 6.0) * rotor.I_ave * (rotor.omega_c + theta_dot)
-    ratio = float(np.max(np.abs(theta_dot)) / rotor.omega_c) if theta_dot.size else 0.0
+    p_max_abs = float(np.max(np.abs(state.p))) if state.p.size else 0.0
+    ratio = validity_ratio(p_max_abs, coeffs.t_gain, rotor.omega_c)
     if ratio > VALIDITY_RATIO_LIMIT:
         warnings.warn(
             f"slow-phase approximation violated: max|theta_dot|/omega_c = {ratio:.3e}",

@@ -129,7 +129,8 @@ def thermal_inversion(rotor: RigidRotor, n: int, temperature: float) -> ThermalI
     """Thermal-equilibrium population difference over an n-molecule shell."""
     if n < 1:
         raise ValueError("molecule count n must be >= 1")
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    ratio = rotor.E_split / (2.0 * rotor.constants.k_B * temperature)
+    thermal_energy = 2.0 * rotor.constants.k_B * temperature
+    if not thermal_energy > 0.0:
+        raise ValueError(f"temperature must be positive with 2·k_B·T > 0, got {temperature!r} K")
+    ratio = rotor.E_split / thermal_energy
     return ThermalInversion(delta_n_bar=(n / 2.0) * math.tanh(ratio), energy_ratio=ratio)

@@ -89,6 +89,8 @@ def alpha_beta(params: SystemParams) -> tuple[float, float]:
             stacklevel=2,
         )
         return 0.0, 0.0
+    if params.delta_n_bar == 0.0:
+        return 0.0, 0.0  # no shell inversion, no gain at any rho (and no inf·0 = NaN)
     rotor = params.rotor
     d_eff = rotor.d0_tilde * params.P_z
     alpha = _SQRT3 * params.delta_n_bar * rotor.omega_c * d_eff / (params.n * rotor.I_ave)
@@ -104,11 +106,14 @@ def saturation_scales(
     """Saturation field amplitude, gain time, and the universal prefactors.
 
     For alpha = beta = 0 (mechanism off) A_sat is 0, t_gain infinite and
-    the prefactors undefined (NaN); no exception is raised.
+    the prefactors undefined (NaN); no exception is raised. Scales that
+    over- or underflow the float range raise ValueError naming rho and P_z.
     """
     if alpha_coef < 0.0 or beta_coef < 0.0:
         raise ValueError("gain coefficients must be non-negative")
-    if alpha_coef == 0.0 or beta_coef == 0.0:
+    # a zero coefficient with P_z and delta_n_bar nonzero is an underflow
+    mechanism_off = params.P_z == 0.0 or params.delta_n_bar == 0.0
+    if mechanism_off and (alpha_coef == 0.0 or beta_coef == 0.0):
         return GainCoefficients(
             alpha_coef=alpha_coef,
             beta_coef=beta_coef,
@@ -117,10 +122,17 @@ def saturation_scales(
             c_A=math.nan,
             c_t=math.nan,
         )
-    A_sat = (alpha_coef / (2.0 * beta_coef**2)) ** (-1.0 / 3.0)
-    t_gain = (alpha_coef * beta_coef / 2.0) ** (-1.0 / 3.0)
-    c_A = A_sat / (params.rho ** (2.0 / 3.0) * params.P_z ** (1.0 / 3.0))
-    c_t = t_gain * params.rho ** (1.0 / 3.0) * params.P_z ** (2.0 / 3.0)
+    try:
+        A_sat = (alpha_coef / (2.0 * beta_coef**2)) ** (-1.0 / 3.0)
+        t_gain = (alpha_coef * beta_coef / 2.0) ** (-1.0 / 3.0)
+        c_A = A_sat / (params.rho ** (2.0 / 3.0) * params.P_z ** (1.0 / 3.0))
+        c_t = t_gain * params.rho ** (1.0 / 3.0) * params.P_z ** (2.0 / 3.0)
+        in_range = all(0.0 < x < math.inf for x in (A_sat, t_gain, c_A, c_t))
+    except (OverflowError, ZeroDivisionError):
+        in_range = False
+    if not in_range:
+        raise ValueError("saturation scales leave the floating-point range at "
+                         f"rho = {params.rho!r} 1/m^3, P_z = {params.P_z!r}")
     return GainCoefficients(
         alpha_coef=alpha_coef,
         beta_coef=beta_coef,

@@ -12,20 +12,20 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig, resolved_entries
+from .config import ConfigError, ScenarioConfig, resolved_entries
 from .constants import CODATA2018
-from .dynamics import Diagnostics, Trajectory, run
+from .dynamics import Diagnostics, Trajectory, run, validity_ratio
 from .mixing import DELTA_W_LIMIT_CYCLE, polarization_result, solvation_inversion
 from .quadrature import GAUSS_LEGENDRE_ORDER, TRAPEZOID_ORDER
 from .rotor import RigidRotor, build_rotor, thermal_inversion
 from .scaling import GainCoefficients, SystemParams, gain_coefficients
 
+#: Trajectory CSV columns, in the field order of Trajectory.
 CSV_HEADER = "tau,A0_scaled,phi,bunch_re,bunch_im,p_mean,conserved"
 
 
@@ -45,8 +45,10 @@ class ScenarioResult:
         return self.coeffs.mechanism_on
 
 
-def _build_pipeline(config: ScenarioConfig) -> tuple[RigidRotor, GainCoefficients]:
-    """Rotor constants through gain coefficients for one scenario."""
+def _derive(
+    config: ScenarioConfig, defaulted: list[str] | None
+) -> tuple[dict, RigidRotor, GainCoefficients]:
+    """The physical chain, each step computed once: (summary, rotor, coeffs)."""
     rotor = build_rotor(CODATA2018)
     P_z = config.polarization()
     pol = polarization_result(P_z, config.n_waters, config.delta_w)
@@ -58,16 +60,11 @@ def _build_pipeline(config: ScenarioConfig) -> tuple[RigidRotor, GainCoefficient
         rotor=rotor,
         mu=CODATA2018.mu0,
     )
-    return rotor, gain_coefficients(params)
-
-
-def derive_chain(config: ScenarioConfig, defaulted: list[str] | None = None) -> dict:
-    """Physical derivation chain as a JSON-ready dict (no simulation)."""
-    rotor, coeffs = _build_pipeline(config)
-    thermal = thermal_inversion(rotor, config.n_waters, config.temperature)
-    P_z = config.polarization()
-    pol = polarization_result(P_z, config.n_waters, config.delta_w)
-    rho = config.ion_concentration()
+    try:
+        coeffs = gain_coefficients(params)
+        thermal = thermal_inversion(rotor, config.n_waters, config.temperature)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     hc = CODATA2018.hbar * CODATA2018.c
     summary = {
         "resolved_config": resolved_entries(config),
@@ -91,7 +88,7 @@ def derive_chain(config: ScenarioConfig, defaulted: list[str] | None = None) -> 
             "w_plus": pol.w_plus,
             "w_minus": pol.w_minus,
             "delta_n_bar": pol.delta_n_bar,
-            "rho_m^-3": rho,
+            "rho_m^-3": params.rho,
             "alpha_coef": coeffs.alpha_coef,
             "beta_coef": coeffs.beta_coef,
             "c_A": _json_float(coeffs.c_A),
@@ -106,7 +103,12 @@ def derive_chain(config: ScenarioConfig, defaulted: list[str] | None = None) -> 
             "mechanism off: P_z = 0 gives zero saturation amplitude and "
             "infinite gain time"
         )
-    return summary
+    return summary, rotor, coeffs
+
+
+def derive_chain(config: ScenarioConfig, defaulted: list[str] | None = None) -> dict:
+    """Physical derivation chain as a JSON-ready dict (no simulation)."""
+    return _derive(config, defaulted)[0]
 
 
 def _json_float(x: float):
@@ -124,14 +126,12 @@ def run_scenario(config: ScenarioConfig, defaulted: list[str] | None = None) -> 
     With P_z = 0 the simulation is skipped (the scaled equations are
     degenerate) and the summary records the mechanism-off outcome.
     """
-    summary = derive_chain(config, defaulted)
-    rotor, coeffs = _build_pipeline(config)
+    summary, rotor, coeffs = _derive(config, defaulted)
 
     traj: Trajectory | None = None
     diag: Diagnostics | None = None
     if coeffs.mechanism_on:
         traj, diag = run(config.sim)
-        sat_ok = math.isfinite(diag.sat_peak)
         summary["simulation"] = {
             "growth_rate_fit": _json_float(diag.growth_rate_fit),
             "sat_peak": _json_float(diag.sat_peak),
@@ -140,15 +140,13 @@ def run_scenario(config: ScenarioConfig, defaulted: list[str] | None = None) -> 
             "p_mean_final": diag.p_mean,
             "conserved_final": diag.conserved,
             "conserved_drift": diag.conserved_drift,
-            "A0_at_sat_V_s_per_m": _json_float(
-                diag.sat_peak * coeffs.A_sat if sat_ok else math.nan
-            ),
-            "t_at_sat_s": _json_float(
-                diag.sat_tau * coeffs.t_gain if sat_ok else math.nan
-            ),
+            # NaN, like sat_peak and sat_tau, when no saturation peak was found
+            "A0_at_sat_V_s_per_m": _json_float(diag.sat_peak * coeffs.A_sat),
+            "t_at_sat_s": _json_float(diag.sat_tau * coeffs.t_gain),
             # max_I |theta_dot_I| / omega_c over the recorded states
-            "validity_max_theta_dot_over_omega_c": diag.p_max_abs
-            / (coeffs.t_gain * rotor.omega_c),
+            "validity_max_theta_dot_over_omega_c": validity_ratio(
+                diag.p_max_abs, coeffs.t_gain, rotor.omega_c
+            ),
         }
     else:
         summary["simulation"] = {
@@ -180,23 +178,10 @@ def write_summary(summary: dict, path: Path) -> None:
 
 
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
-    lines = [CSV_HEADER]
-    for k in range(len(traj)):
-        lines.append(
-            ",".join(
-                f"{v:.16e}"
-                for v in (
-                    traj.tau[k],
-                    traj.amp[k],
-                    traj.phi[k],
-                    traj.bunch_re[k],
-                    traj.bunch_im[k],
-                    traj.p_mean[k],
-                    traj.conserved[k],
-                )
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+    columns = np.column_stack([getattr(traj, f.name) for f in fields(Trajectory)])
+    with Path(path).open("w") as fh:
+        fh.write(CSV_HEADER + "\n")
+        fh.writelines(",".join(f"{v:.16e}" for v in row) + "\n" for row in columns)
 
 
 def read_trajectory_csv(path: str | Path) -> Trajectory:
@@ -207,15 +192,7 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
     data = np.array([[float(x) for x in line.split(",")] for line in rows[1:]])
     if data.size == 0:
         data = data.reshape(0, 7)
-    return Trajectory(
-        tau=data[:, 0],
-        amp=data[:, 1],
-        phi=data[:, 2],
-        bunch_re=data[:, 3],
-        bunch_im=data[:, 4],
-        p_mean=data[:, 5],
-        conserved=data[:, 6],
-    )
+    return Trajectory(*data.T)
 
 
 # --- slippage diagnostic ------------------------------------------------------
@@ -247,10 +224,12 @@ def slippage_check(l_b: float, l_g: float, v: float) -> SlippageDiagnostic:
     c = CODATA2018.c
     if not 0.0 < v < c:
         raise ValueError(f"velocity must satisfy 0 < v < c, got {v!r}")
-    if l_b <= 0.0 or l_g <= 0.0:
-        raise ValueError("bunch and gain lengths must be positive")
+    if not (0.0 < l_b < math.inf and 0.0 < l_g < math.inf):
+        raise ValueError("bunch and gain lengths must be positive and finite")
     l_s = (c - v) * l_g / v
     ratio = l_s / l_b
+    if not math.isfinite(ratio):
+        raise ValueError(f"slippage ratio l_s/l_b overflows: l_s = {l_s!r} m, l_b = {l_b!r} m")
     return SlippageDiagnostic(
         l_b=l_b,
         l_g=l_g,
@@ -279,33 +258,27 @@ def sweep(
     delta_w: float | None = None,
     workers: int = 1,
 ) -> list[SweepRow]:
-    """Saturation scales over a rho x P_z grid, in deterministic grid order.
+    """Saturation scales over a rho x P_z grid, in rho-major grid order.
 
-    Grid points are independent; with workers > 1 they are evaluated
-    concurrently but collected in the same rho-major order.
+    workers is accepted for compatibility and ignored: each point is a closed
+    form evaluated serially, so results never depend on it.
     """
     if delta_w is None:
         delta_w = DELTA_W_LIMIT_CYCLE
     rotor = build_rotor(CODATA2018)
     dn_bar = solvation_inversion(n, delta_w)
-    points = [(rho, pz) for rho in rho_values for pz in pz_values]
 
-    def one(point: tuple[float, float]) -> SweepRow:
-        rho, pz = point
+    def one(rho: float, pz: float) -> SweepRow:
         params = SystemParams(
             n=n, delta_n_bar=dn_bar, rho=rho, P_z=pz, rotor=rotor, mu=CODATA2018.mu0
         )
         coeffs = gain_coefficients(params)
         return SweepRow(rho=rho, P_z=pz, A_sat=coeffs.A_sat, t_gain=coeffs.t_gain)
 
-    if workers <= 1:
-        return [one(pt) for pt in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, points))
+    return [one(rho, pz) for rho in rho_values for pz in pz_values]
 
 
 def write_sweep_csv(rows: list[SweepRow], path: Path) -> None:
-    lines = ["rho,P_z,A_sat,t_gain"]
-    for r in rows:
-        lines.append(f"{r.rho:.16e},{r.P_z:.16e},{r.A_sat:.16e},{r.t_gain:.16e}")
-    path.write_text("\n".join(lines) + "\n")
+    with Path(path).open("w") as fh:
+        fh.write("rho,P_z,A_sat,t_gain\n")
+        fh.writelines(f"{r.rho:.16e},{r.P_z:.16e},{r.A_sat:.16e},{r.t_gain:.16e}\n" for r in rows)

@@ -1,9 +1,14 @@
 """CLI subcommands and exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aquafel
 from aquafel.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -72,6 +77,58 @@ def test_config_error_exit_code(tmp_path, capsys):
     config = cfg_file(tmp_path, "rho = 1.3e17\nE0z = 100\nwhatever = 1\n")
     assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "unknown key" in capsys.readouterr().err
+
+
+# Each case: config entries for `simulate` (None: no config), extra CLI
+# arguments, and a fragment of the error that names the offending input.
+_SIM_BASE = {"rho": "1.3e17", "E0z": "100", "particles": "64", "tau_end": "1"}
+HOSTILE_INPUTS = {
+    "config-dt-nan": ({**_SIM_BASE, "dt": "nan"}, [], "'dt'"),
+    "config-tau_end-inf": ({**_SIM_BASE, "tau_end": "inf"}, [], "'tau_end'"),
+    "config-temperature-nan": ({**_SIM_BASE, "temperature": "nan"}, [], "'temperature'"),
+    "config-rho-nan": ({**_SIM_BASE, "rho": "nan"}, [], "'rho'"),
+    "config-rho-overflow": ({**_SIM_BASE, "rho": "1e300"}, [], "rho = 1e+300"),
+    "config-N_ions-V_volume-overflow": (
+        {"N_ions": "1e300", "V_volume": "1e-300", "E0z": "100", "particles": "64"},
+        [], "'N_ions'/'V_volume'",
+    ),
+    "config-tau_end-not-whole-steps": (
+        {**_SIM_BASE, "dt": "0.3", "tau_end": "1.0"}, [], "whole number of dt",
+    ),
+    "override-dt-nan": (_SIM_BASE, ["--dt", "nan"], "dt must be"),
+    "override-tau-end-inf": (_SIM_BASE, ["--tau-end", "inf"], "tau_end must be"),
+    "sweep-rhos-nan": (None, ["sweep", "--rhos", "nan", "--pzs", "1e-7"], "--rhos"),
+    "sweep-rhos-inf": (None, ["sweep", "--rhos", "1e17,inf", "--pzs", "1e-7"], "--rhos"),
+    "sweep-rhos-overflow": (None, ["sweep", "--rhos", "1e300", "--pzs", "1e-7"],
+                            "rho = 1e+300"),
+    "sweep-pzs-above-ceiling": (None, ["sweep", "--rhos", "1e17", "--pzs", "0.5"], "P_z"),
+    "sweep-delta-w-nan": (None, ["sweep", "--rhos", "1e17", "--pzs", "1e-7",
+                                 "--delta-w", "nan"], "delta_w"),
+    "slippage-nan-length": (None, ["slippage", "--bunch-length", "nan", "--gain-length",
+                                   "1", "--velocity", "150"], "lengths"),
+    "slippage-ratio-overflow": (None, ["slippage", "--bunch-length", "1e-300",
+                                       "--gain-length", "1e300", "--velocity", "1"],
+                                "slippage ratio"),
+}
+
+
+@pytest.mark.parametrize("case", list(HOSTILE_INPUTS), ids=list(HOSTILE_INPUTS))
+def test_hostile_input_is_config_error(tmp_path, case):
+    entries, argv, names_input = HOSTILE_INPUTS[case]
+    if entries is not None:
+        text = "".join(f"{key} = {value}\n" for key, value in entries.items())
+        argv = ["simulate", "--config", cfg_file(tmp_path, text), *argv]
+    if argv[0] != "slippage":
+        argv = [*argv, "--out", str(tmp_path / "out")]
+    src = str(Path(aquafel.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "aquafel.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert names_input in proc.stderr
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 def test_missing_config_exit_code(tmp_path):
