@@ -10,6 +10,7 @@ the polarization.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -143,8 +144,8 @@ def config_from_entries(entries: dict[str, str]) -> tuple[ScenarioConfig, list[s
         cfg.temperature = _positive("temperature", _parse_float("temperature", entries["temperature"]))
     if "n_waters" in entries:
         cfg.n_waters = _parse_int("n_waters", entries["n_waters"])
-        if cfg.n_waters < 1:
-            raise ConfigError(f"'n_waters' must be >= 1, got {cfg.n_waters}")
+        if not 1 <= cfg.n_waters <= sys.float_info.max:
+            raise ConfigError(f"'n_waters' must lie in [1, {sys.float_info.max:.3g}]")
     if "E0z" in entries:
         e0z = _parse_float("E0z", entries["E0z"])
         if e0z < 0.0 or e0z > E0Z_MAX:

@@ -16,7 +16,9 @@ continuous system conserves <p> + |field|².
 Ensemble means use a fixed-order pairwise (tree) reduction so results
 are bitwise reproducible and accurate for large particle counts.
 Integration is fixed-step classical RK4; the dynamics is smooth and
-non-stiff on the gain timescale.
+non-stiff on the gain timescale. One RK4 combine (_rk4) advances both
+formulations, and one stepping loop (_steps) drives both run and
+polar_equivalence.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ QUIET_START_PERTURBATION = 1e-6
 POLAR_AMP_FLOOR = 1e-9
 
 INIT_MODES = ("quiet-start", "uniform-random")
+#: Largest particle count and step count a SimConfig accepts.
+MAX_PARTICLES = 2**24
+MAX_STEPS = 10**7
 
 
 class NumericalBlowupError(RuntimeError):
@@ -77,19 +82,27 @@ class SimConfig:
     record_stride: int = 10
 
     def __post_init__(self) -> None:
-        if self.n_particles < 2:
-            raise ValueError("n_particles must be >= 2")
+        if not 2 <= self.n_particles <= MAX_PARTICLES:
+            raise ValueError(f"n_particles must lie in [2, {MAX_PARTICLES}], got {self.n_particles}")
         for name in ("dt", "tau_end", "seed_amp"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
-        steps = self.tau_end / self.dt  # whole to a relative 1e-9
-        if not (steps < math.inf
-                and abs(round(steps) * self.dt - self.tau_end) <= 1e-9 * self.tau_end):
+        if not (self.tau_end / self.dt < math.inf and self.n_steps <= MAX_STEPS):
+            raise ValueError(f"tau_end / dt = {self.tau_end / self.dt:.3g} exceeds the "
+                             f"ceiling of {MAX_STEPS} steps")
+        if abs(self.n_steps * self.dt - self.tau_end) > 1e-9 * self.tau_end:
             raise ValueError(f"tau_end = {self.tau_end!r} must be a whole number of dt steps")
         if self.init_mode not in INIT_MODES:
             raise ValueError(f"init_mode must be one of {INIT_MODES}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
+
+    @property
+    def n_steps(self) -> int:
+        """RK4 steps from 0 to tau_end."""
+        return round(self.tau_end / self.dt)
 
 
 @dataclass
@@ -120,11 +133,6 @@ class EnsembleState:
 
     def p_mean(self) -> float:
         return float(pairwise_mean(self.p))
-
-    def conserved(self) -> float:
-        """First integral <p> + |field|² of the continuous system."""
-        # amp*amp rather than amp**2: float pow raises on overflow
-        return self.p_mean() + self.amp * self.amp
 
 
 @dataclass(frozen=True)
@@ -199,77 +207,56 @@ def _derivative_arrays(theta, p, field):
     return p, dp, dfield
 
 
+def _rk4(deriv, y: tuple, dt: float) -> tuple:
+    """One classical RK4 step of dy/dtau = deriv(*y) over a tuple of arrays and scalars."""
+    k1 = deriv(*y)
+    k2 = deriv(*(a + 0.5 * dt * k for a, k in zip(y, k1)))
+    k3 = deriv(*(a + 0.5 * dt * k for a, k in zip(y, k2)))
+    k4 = deriv(*(a + dt * k for a, k in zip(y, k3)))
+    return tuple(
+        a + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+    )
+
+
 def step(state: EnsembleState, dt: float) -> EnsembleState:
     """One classical RK4 step; raises NumericalBlowupError on non-finite state."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    theta, p, field = state.theta, state.p, state.field
     with np.errstate(over="ignore", invalid="ignore"):
-        k1t, k1p, k1f = _derivative_arrays(theta, p, field)
-        k2t, k2p, k2f = _derivative_arrays(
-            theta + 0.5 * dt * k1t, p + 0.5 * dt * k1p, field + 0.5 * dt * k1f
-        )
-        k3t, k3p, k3f = _derivative_arrays(
-            theta + 0.5 * dt * k2t, p + 0.5 * dt * k2p, field + 0.5 * dt * k2f
-        )
-        k4t, k4p, k4f = _derivative_arrays(
-            theta + dt * k3t, p + dt * k3p, field + dt * k3f
-        )
-        theta_new = theta + (dt / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-        p_new = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        field_new = field + (dt / 6.0) * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
+        theta, p, field = _rk4(_derivative_arrays, (state.theta, state.p, state.field), dt)
     if not (
-        np.isfinite(theta_new).all()
-        and np.isfinite(p_new).all()
-        and math.isfinite(field_new.real)
-        and math.isfinite(field_new.imag)
+        np.isfinite(theta).all()
+        and np.isfinite(p).all()
+        and math.isfinite(field.real)
+        and math.isfinite(field.imag)
     ):
         raise NumericalBlowupError(f"non-finite state after step at tau={state.tau!r}")
-    return EnsembleState(
-        theta=theta_new,
-        p=p_new,
-        field_re=field_new.real,
-        field_im=field_new.imag,
-        tau=state.tau,  # caller assigns tau from the step index
-    )
+    # the caller assigns tau from the step index
+    return EnsembleState(theta=theta, p=p, field_re=field.real, field_im=field.imag, tau=state.tau)
+
+
+def _steps(config: SimConfig):
+    """(i, state) for i = 0..n_steps: the initial state, then one step() each."""
+    state = init_ensemble(config)
+    yield 0, state
+    for i in range(1, config.n_steps + 1):
+        state = step(state, config.dt)
+        state.tau = i * config.dt
+        yield i, state
 
 
 def run(config: SimConfig) -> tuple[Trajectory, Diagnostics]:
-    """Integrate to tau_end, recording every record_stride steps."""
-    state = init_ensemble(config)
-    n_steps = int(round(config.tau_end / config.dt))
-    rec_tau, rec_amp, rec_phi = [], [], []
-    rec_bre, rec_bim, rec_pm, rec_cons = [], [], [], []
+    """Integrate to tau_end, recording every record_stride steps and the last."""
+    rows = []
     p_max_abs = 0.0
-
-    def record(s: EnsembleState) -> float:
-        b = s.bunching()
-        pm = s.p_mean()
-        rec_tau.append(s.tau)
-        rec_amp.append(s.amp)
-        rec_phi.append(s.phi)
-        rec_bre.append(b.real)
-        rec_bim.append(b.imag)
-        rec_pm.append(pm)
-        rec_cons.append(pm + s.amp * s.amp)
-        return float(np.max(np.abs(s.p)))
-
-    p_max_abs = record(state)
-    for i in range(1, n_steps + 1):
-        state = step(state, config.dt)
-        state.tau = i * config.dt
-        if i % config.record_stride == 0 or i == n_steps:
-            p_max_abs = max(p_max_abs, record(state))
-
-    traj = Trajectory(
-        tau=np.array(rec_tau),
-        amp=np.array(rec_amp),
-        phi=np.array(rec_phi),
-        bunch_re=np.array(rec_bre),
-        bunch_im=np.array(rec_bim),
-        p_mean=np.array(rec_pm),
-        conserved=np.array(rec_cons),
-    )
+    for i, s in _steps(config):
+        if i % config.record_stride == 0 or i == config.n_steps:
+            b = s.bunching()
+            pm = s.p_mean()
+            rows.append((s.tau, s.amp, s.phi, b.real, b.imag, pm, pm + s.amp * s.amp))
+            p_max_abs = max(p_max_abs, float(np.max(np.abs(s.p))))
+    traj = Trajectory(*np.array(rows).T)
     return traj, _diagnose(traj, config, p_max_abs)
 
 
@@ -332,42 +319,19 @@ def polar_derivative(theta, p, amp: float, phi: float):
     return p, -2.0 * amp * c, damp, dphi
 
 
-def _polar_step(theta, p, amp, phi, dt):
-    k1 = polar_derivative(theta, p, amp, phi)
-    k2 = polar_derivative(
-        theta + 0.5 * dt * k1[0], p + 0.5 * dt * k1[1], amp + 0.5 * dt * k1[2], phi + 0.5 * dt * k1[3]
-    )
-    k3 = polar_derivative(
-        theta + 0.5 * dt * k2[0], p + 0.5 * dt * k2[1], amp + 0.5 * dt * k2[2], phi + 0.5 * dt * k2[3]
-    )
-    k4 = polar_derivative(
-        theta + dt * k3[0], p + dt * k3[1], amp + dt * k3[2], phi + dt * k3[3]
-    )
-    return (
-        theta + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-        p + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        amp + (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
-        phi + (dt / 6.0) * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]),
-    )
-
-
 def polar_equivalence(config: SimConfig) -> float:
     """Max |field_polar - field_complex| between the two formulations.
 
     Both forms start from identical initial data and use the same RK4
     stepping; the deviation is sampled once per step.
     """
-    state = init_ensemble(config)
-    theta_p = state.theta.copy()
-    p_p = state.p.copy()
-    amp_p, phi_p = state.amp, state.phi
-    n_steps = int(round(config.tau_end / config.dt))
+    steps = _steps(config)
+    _, state = next(steps)
+    polar = (state.theta, state.p, state.amp, state.phi)
     max_dev = 0.0
-    for i in range(1, n_steps + 1):
-        state = step(state, config.dt)
-        state.tau = i * config.dt
-        theta_p, p_p, amp_p, phi_p = _polar_step(theta_p, p_p, amp_p, phi_p, config.dt)
-        dev = abs(amp_p * np.exp(-1j * phi_p) - state.field)
+    for _, state in steps:
+        polar = _rk4(polar_derivative, polar, config.dt)
+        dev = abs(polar[2] * np.exp(-1j * polar[3]) - state.field)
         if dev > max_dev:
             max_dev = float(dev)
     return max_dev

@@ -17,6 +17,7 @@ level-weight difference DELTA_W_LIMIT_CYCLE = 0.62.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,8 +122,8 @@ def linearized_polarization(E0z: float) -> float:
 
 def solvation_inversion(n: int, delta_w: float) -> float:
     """Shell inversion delta_n_bar = n·delta_w for n solvating molecules."""
-    if n < 1:
-        raise ValueError("molecule count n must be >= 1")
+    if not 1 <= n <= sys.float_info.max:
+        raise ValueError(f"molecule count n must lie in [1, {sys.float_info.max:.3g}]")
     if not 0.0 <= delta_w <= 1.0:
         raise ValueError("delta_w must lie in [0, 1]")
     return n * delta_w

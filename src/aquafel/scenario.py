@@ -100,10 +100,15 @@ def _derive(
     }
     if not coeffs.mechanism_on:
         summary["derived"]["note"] = (
-            "mechanism off: P_z = 0 gives zero saturation amplitude and "
+            f"mechanism off: {mechanism_off_cause(P_z)} gives zero saturation amplitude and "
             "infinite gain time"
         )
     return summary, rotor, coeffs
+
+
+def mechanism_off_cause(P_z: float) -> str:
+    """Why a scenario has no gain: no polarization, else no shell inversion."""
+    return "P_z = 0" if P_z == 0.0 else "zero shell inversion (delta_w = 0)"
 
 
 def derive_chain(config: ScenarioConfig, defaulted: list[str] | None = None) -> dict:

@@ -95,6 +95,11 @@ HOSTILE_INPUTS = {
     "config-tau_end-not-whole-steps": (
         {**_SIM_BASE, "dt": "0.3", "tau_end": "1.0"}, [], "whole number of dt",
     ),
+    "config-dt-tiny": ({**_SIM_BASE, "dt": "1e-300"}, [], "ceiling of 10000000 steps"),
+    "config-seed-negative": ({**_SIM_BASE, "seed": "-1"}, [], "seed"),
+    "config-n_waters-overflow": ({**_SIM_BASE, "n_waters": "1" + "0" * 400}, [], "'n_waters'"),
+    "config-particles-huge": ({**_SIM_BASE, "particles": str(10**30)}, [], "n_particles"),
+    "override-seed-negative": (_SIM_BASE, ["--seed", "-5"], "seed"),
     "override-dt-nan": (_SIM_BASE, ["--dt", "nan"], "dt must be"),
     "override-tau-end-inf": (_SIM_BASE, ["--tau-end", "inf"], "tau_end must be"),
     "sweep-rhos-nan": (None, ["sweep", "--rhos", "nan", "--pzs", "1e-7"], "--rhos"),
@@ -102,6 +107,8 @@ HOSTILE_INPUTS = {
     "sweep-rhos-overflow": (None, ["sweep", "--rhos", "1e300", "--pzs", "1e-7"],
                             "rho = 1e+300"),
     "sweep-pzs-above-ceiling": (None, ["sweep", "--rhos", "1e17", "--pzs", "0.5"], "P_z"),
+    "sweep-n-waters-overflow": (None, ["sweep", "--rhos", "1e17", "--pzs", "1e-7",
+                                       "--n-waters", "1" + "0" * 400], "molecule count n"),
     "sweep-delta-w-nan": (None, ["sweep", "--rhos", "1e17", "--pzs", "1e-7",
                                  "--delta-w", "nan"], "delta_w"),
     "slippage-nan-length": (None, ["slippage", "--bunch-length", "nan", "--gain-length",
@@ -142,6 +149,18 @@ def test_mechanism_off_exit_code(tmp_path, capsys):
         code = main(["simulate", "--config", config, "--out", str(tmp_path / "o")])
     assert code == EXIT_MECHANISM_OFF
     assert "gain time infinite" in capsys.readouterr().err
+
+
+def test_mechanism_off_names_zero_shell_inversion(tmp_path, capsys):
+    # P_z is nonzero here, so the cause is the inversion and not P_z
+    config = cfg_file(tmp_path, "rho = 1.3e17\nE0z = 100\ndelta_w = 0\nparticles = 64\n")
+    code = main(["simulate", "--config", config, "--out", str(tmp_path / "o")])
+    assert code == EXIT_MECHANISM_OFF
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["derived"]["P_z"] > 0.0
+    for message in (capsys.readouterr().err, summary["derived"]["note"]):
+        assert "zero shell inversion (delta_w = 0)" in message
+        assert "P_z = 0" not in message
 
 
 def test_blowup_exit_code(tmp_path, capsys):

@@ -16,6 +16,7 @@ from aquafel.config import (
     load_config,
     parse_config_text,
 )
+from aquafel.dynamics import MAX_PARTICLES
 from aquafel.mixing import E0Z_MAX
 from aquafel.scaling import P_Z_MAX
 from aquafel.scenario import derive_chain
@@ -142,21 +143,27 @@ _IN_RANGE = {
     "temperature": _POSITIVE, "rho": _POSITIVE, "N_ions": _POSITIVE, "V_volume": _POSITIVE,
     "E0z": st.floats(0.0, E0Z_MAX), "P_z": st.floats(0.0, P_Z_MAX),
     "delta_w": st.floats(0.0, 1.0), "seed_amp": _POSITIVE, "dt": _POSITIVE,
+    "n_waters": st.integers(1, 10**6), "particles": st.integers(2, MAX_PARTICLES),
+    "seed": st.integers(0, 2**128), "record_stride": st.integers(1, 10**6),
 }
+_INT_KEYS = ("n_waters", "particles", "seed", "record_stride")
+_ANY_INT = st.one_of(st.integers(), st.integers(-(10**400), 10**400))
 
 
 @st.composite
 def _float_entries(draw):
-    """Every float-valued key within its documented range, extremes included
-    (tau_end a whole number of dt steps), then half the time one key
-    replaced by an arbitrary float, NaN and infinities included."""
+    """Every float- and int-valued key within its documented range, extremes
+    included (tau_end a whole number of dt steps), then half the time one
+    key replaced by an arbitrary value of its type: a float with NaN and
+    infinities included, or an int far beyond the float range."""
     keys = [*draw(st.sampled_from([["rho"], ["N_ions", "V_volume"]])),
-            draw(st.sampled_from(["E0z", "P_z"])), "temperature", "delta_w", "seed_amp", "dt"]
+            draw(st.sampled_from(["E0z", "P_z"])), "temperature", "delta_w", "seed_amp", "dt",
+            *_INT_KEYS]
     values = {key: draw(_IN_RANGE[key]) for key in keys}
     values["tau_end"] = draw(st.integers(1, 10**6)) * values["dt"]
     hostile = draw(st.one_of(st.none(), st.sampled_from(sorted(values))))
     if hostile is not None:
-        values[hostile] = draw(st.floats())
+        values[hostile] = draw(_ANY_INT if hostile in _INT_KEYS else st.floats())
     return {key: repr(value) for key, value in values.items()}
 
 

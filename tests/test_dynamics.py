@@ -228,6 +228,19 @@ def test_run_is_bitwise_deterministic():
     assert d1 == d2
 
 
+def test_run_records_the_last_step_off_the_stride():
+    # 23 steps with a stride of 5: rows at 0, 5, ..., 20 and the final step 23
+    cfg = small_config(n_particles=64, dt=0.01, tau_end=0.23, record_stride=5)
+    traj, _ = run(cfg)
+    assert len(traj) == 6
+    assert traj.tau.tolist() == [k * 0.01 for k in (0, 5, 10, 15, 20, 23)]
+    assert traj.tau[-1] == cfg.tau_end
+    state = init_ensemble(cfg)
+    for _ in range(23):
+        state = step(state, cfg.dt)
+    assert traj.amp[-1] == state.amp
+
+
 def test_growth_rate_converges_with_particle_count():
     # with random phase loading the shot noise (~N^-1/2) contaminates the
     # fit window, so the approach to the analytic rate is monotone in N
