@@ -5,6 +5,11 @@ comments. Unknown keys are rejected so typos in physics parameters
 cannot pass silently. Exactly one of {rho} or {N_ions, V_volume} must
 fix the ion concentration, and exactly one of {E0z} or {P_z} must fix
 the polarization.
+
+SCENARIO_FIELDS and SIM_FIELDS are the one place a config key is declared:
+they map it to its ScenarioConfig or SimConfig field, and parsing, the
+defaulted keys, the resolved echo and the CLI overrides all read them. The
+value ranges belong to ScenarioConfig.validate and SimConfig.
 """
 
 from __future__ import annotations
@@ -14,9 +19,28 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dynamics import INIT_MODES, SimConfig
+from .dynamics import SimConfig
 from .mixing import DELTA_W_LIMIT_CYCLE, E0Z_MAX, linearized_polarization
 from .scaling import P_Z_MAX
+
+#: Config key -> ScenarioConfig field.
+SCENARIO_FIELDS = {
+    "temperature": "temperature", "n_waters": "n_waters", "E0z": "field_E0z",
+    "P_z": "P_z_override", "rho": "rho", "N_ions": "N_ions", "V_volume": "V_volume",
+    "delta_w": "delta_w",
+}
+#: Config key -> SimConfig field.
+SIM_FIELDS = {
+    "particles": "n_particles", "dt": "dt", "tau_end": "tau_end", "seed_amp": "seed_amp",
+    "init_mode": "init_mode", "seed": "rng_seed", "record_stride": "record_stride",
+}
+#: Keys parsed as integers; init_mode stays a string, every other key is a float.
+INT_KEYS = frozenset({"n_waters", "particles", "seed", "record_stride"})
+KNOWN_KEYS = (*SCENARIO_FIELDS, *SIM_FIELDS)
+
+_POSITIVE_KEYS = ("temperature", "rho", "N_ions", "V_volume")
+_CLOSED_RANGES = {"n_waters": (1, sys.float_info.max), "E0z": (0.0, E0Z_MAX),
+                  "P_z": (0.0, P_Z_MAX), "delta_w": (0.0, 1.0)}
 
 
 class ConfigError(ValueError):
@@ -54,7 +78,21 @@ class ScenarioConfig:
             return self.P_z_override
         return linearized_polarization(self.field_E0z)
 
+    def value(self, key: str) -> object:
+        """The value behind a config key (None: not given)."""
+        if key in SIM_FIELDS:
+            return getattr(self.sim, SIM_FIELDS[key])
+        return getattr(self, SCENARIO_FIELDS[key])
+
     def validate(self) -> None:
+        for key in _POSITIVE_KEYS:
+            value = self.value(key)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ConfigError(f"'{key}' must be positive and finite, got {value!r}")
+        for key, (low, high) in _CLOSED_RANGES.items():
+            value = self.value(key)
+            if value is not None and not low <= value <= high:
+                raise ConfigError(f"'{key}' must lie in [{low!r}, {high!r}], got {value!r}")
         if (self.rho is None) == (self.N_ions is None and self.V_volume is None):
             raise ConfigError(
                 "exactly one of 'rho' or the pair 'N_ions'+'V_volume' must be given"
@@ -66,12 +104,6 @@ class ScenarioConfig:
         if not 0.0 < self.ion_concentration() < math.inf:
             raise ConfigError("'rho' or 'N_ions'/'V_volume' must give a positive, finite "
                               "ion concentration")
-
-
-def _positive(key: str, value: float) -> float:
-    if value <= 0.0:
-        raise ConfigError(f"'{key}' must be positive, got {value!r}")
-    return value
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -89,28 +121,6 @@ def _parse_int(key: str, raw: str) -> int:
         return int(raw)
     except ValueError:
         raise ConfigError(f"'{key}': not an integer: {raw!r}") from None
-
-
-_SCENARIO_KEYS = (
-    "temperature",
-    "n_waters",
-    "E0z",
-    "P_z",
-    "rho",
-    "N_ions",
-    "V_volume",
-    "delta_w",
-)
-_SIM_KEYS = (
-    "particles",
-    "dt",
-    "tau_end",
-    "seed_amp",
-    "init_mode",
-    "seed",
-    "record_stride",
-)
-KNOWN_KEYS = _SCENARIO_KEYS + _SIM_KEYS
 
 
 def parse_config_text(text: str, source: str = "<string>") -> dict[str, str]:
@@ -137,68 +147,22 @@ def parse_config_text(text: str, source: str = "<string>") -> dict[str, str]:
 
 def config_from_entries(entries: dict[str, str]) -> tuple[ScenarioConfig, list[str]]:
     """Typed, validated config plus the list of keys that fell back to defaults."""
-    cfg = ScenarioConfig()
-    sim_kwargs: dict[str, object] = {}
-
-    if "temperature" in entries:
-        cfg.temperature = _positive("temperature", _parse_float("temperature", entries["temperature"]))
-    if "n_waters" in entries:
-        cfg.n_waters = _parse_int("n_waters", entries["n_waters"])
-        if not 1 <= cfg.n_waters <= sys.float_info.max:
-            raise ConfigError(f"'n_waters' must lie in [1, {sys.float_info.max:.3g}]")
-    if "E0z" in entries:
-        e0z = _parse_float("E0z", entries["E0z"])
-        if e0z < 0.0 or e0z > E0Z_MAX:
-            raise ConfigError(
-                f"'E0z' out of the linear-response range [0, {E0Z_MAX:.0e}] V/m: {e0z!r}"
-            )
-        cfg.field_E0z = e0z
-    if "P_z" in entries:
-        p_z = _parse_float("P_z", entries["P_z"])
-        if not 0.0 <= p_z <= P_Z_MAX:
-            raise ConfigError(f"'P_z' must lie in [0, {P_Z_MAX}], got {p_z!r}")
-        cfg.P_z_override = p_z
-    if "rho" in entries:
-        cfg.rho = _positive("rho", _parse_float("rho", entries["rho"]))
-    if "N_ions" in entries:
-        cfg.N_ions = _positive("N_ions", _parse_float("N_ions", entries["N_ions"]))
-    if "V_volume" in entries:
-        cfg.V_volume = _positive("V_volume", _parse_float("V_volume", entries["V_volume"]))
-    if "delta_w" in entries:
-        dw = _parse_float("delta_w", entries["delta_w"])
-        if not 0.0 <= dw <= 1.0:
-            raise ConfigError(f"'delta_w' must lie in [0, 1], got {dw!r}")
-        cfg.delta_w = dw
-
-    if "particles" in entries:
-        sim_kwargs["n_particles"] = _parse_int("particles", entries["particles"])
-    if "dt" in entries:
-        sim_kwargs["dt"] = _parse_float("dt", entries["dt"])
-    if "tau_end" in entries:
-        sim_kwargs["tau_end"] = _parse_float("tau_end", entries["tau_end"])
-    if "seed_amp" in entries:
-        sim_kwargs["seed_amp"] = _parse_float("seed_amp", entries["seed_amp"])
-    if "init_mode" in entries:
-        mode = entries["init_mode"]
-        if mode not in INIT_MODES:
-            raise ConfigError(f"'init_mode' must be one of {INIT_MODES}, got {mode!r}")
-        sim_kwargs["init_mode"] = mode
-    if "seed" in entries:
-        sim_kwargs["rng_seed"] = _parse_int("seed", entries["seed"])
-    if "record_stride" in entries:
-        sim_kwargs["record_stride"] = _parse_int("record_stride", entries["record_stride"])
-
+    values = {}
+    for key, raw in entries.items():
+        if key not in KNOWN_KEYS:
+            raise ConfigError(f"unknown key '{key}'")
+        parse = _parse_int if key in INT_KEYS else _parse_float
+        values[key] = raw if key == "init_mode" else parse(key, raw)
     try:
-        cfg.sim = SimConfig(**sim_kwargs)
+        sim = SimConfig(**{SIM_FIELDS[k]: v for k, v in values.items() if k in SIM_FIELDS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    cfg.validate()
-
-    defaulted = sorted(
-        set(_SCENARIO_KEYS + _SIM_KEYS)
-        - set(entries)
-        - {"E0z", "P_z", "rho", "N_ions", "V_volume"}
+    cfg = ScenarioConfig(
+        sim=sim, **{SCENARIO_FIELDS[k]: v for k, v in values.items() if k in SCENARIO_FIELDS}
     )
+    cfg.validate()
+    defaults = ScenarioConfig()
+    defaulted = sorted(k for k in KNOWN_KEYS if k not in entries and defaults.value(k) is not None)
     return cfg, defaulted
 
 
@@ -207,33 +171,16 @@ def load_config(path: str | Path) -> tuple[ScenarioConfig, list[str]]:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return config_from_entries(parse_config_text(path.read_text(), source=str(path)))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return config_from_entries(parse_config_text(text, source=str(path)))
 
 
 def resolved_entries(cfg: ScenarioConfig) -> dict[str, object]:
     """Flat key -> value echo of a config; feeding it back reproduces the run."""
-    out: dict[str, object] = {
-        "temperature": cfg.temperature,
-        "n_waters": cfg.n_waters,
-        "delta_w": cfg.delta_w,
-        "particles": cfg.sim.n_particles,
-        "dt": cfg.sim.dt,
-        "tau_end": cfg.sim.tau_end,
-        "seed_amp": cfg.sim.seed_amp,
-        "init_mode": cfg.sim.init_mode,
-        "seed": cfg.sim.rng_seed,
-        "record_stride": cfg.sim.record_stride,
-    }
-    if cfg.field_E0z is not None:
-        out["E0z"] = cfg.field_E0z
-    else:
-        out["P_z"] = cfg.P_z_override
-    if cfg.rho is not None:
-        out["rho"] = cfg.rho
-    else:
-        out["N_ions"] = cfg.N_ions
-        out["V_volume"] = cfg.V_volume
-    return out
+    return {k: v for k in KNOWN_KEYS if (v := cfg.value(k)) is not None}
 
 
 def dump_config(cfg: ScenarioConfig) -> str:

@@ -191,13 +191,20 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
 
 def read_trajectory_csv(path: str | Path) -> Trajectory:
     """Inverse of write_trajectory_csv (used by the plot subcommand)."""
-    rows = Path(path).read_text().strip().splitlines()
-    if not rows or rows[0] != CSV_HEADER:
+    lines = Path(path).read_text().strip().splitlines()
+    if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"not a trajectory CSV (bad header): {path}")
-    data = np.array([[float(x) for x in line.split(",")] for line in rows[1:]])
-    if data.size == 0:
-        data = data.reshape(0, 7)
-    return Trajectory(*data.T)
+    width = len(CSV_HEADER.split(","))
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            row = [float(x) for x in line.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != width or not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}:{lineno}: expected {width} finite numbers, got {line!r}")
+        rows.append(row)
+    return Trajectory(*np.array(rows).reshape(-1, width).T)
 
 
 # --- slippage diagnostic ------------------------------------------------------

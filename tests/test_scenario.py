@@ -219,3 +219,12 @@ def test_trajectory_csv_rejects_foreign_files(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         read_trajectory_csv(path)
+
+
+@pytest.mark.parametrize("row", ["1,2,3,4,5,6", "1,2,3,nan,5,6,7", "1,2,3,x,5,6,7"],
+                         ids=["six-columns", "nan", "not-a-number"])
+def test_trajectory_csv_rejects_malformed_rows(tmp_path, row):
+    path = tmp_path / "traj.csv"
+    path.write_text(f"{CSV_HEADER}\n1,2,3,4,5,6,7\n{row}\n")
+    with pytest.raises(ValueError, match=r"traj\.csv:3: expected 7 finite numbers"):
+        read_trajectory_csv(path)
