@@ -7,11 +7,13 @@ into the pair
     |mix1> = -sin(a)|0,0> + cos(a)|1,0>
 
 which carries a time-independent (permanent) dipole expectation along z,
-P_z = sin(2a)/(3*sqrt(3)). The transverse components P_x, P_y vanish by
-construction. For weak fields P_z is linear in the field with slope
-C_P = 4.9e-9 m/V, a published limit-cycle result adopted here as a fixed
-coefficient (valid up to ~1e7 V/m); the same applies to the stationary
-level-weight difference DELTA_W_LIMIT_CYCLE = 0.62.
+P_z = sin(2a)/(3*sqrt(3)). permanent_polarization evaluates it from the
+quadrature matrix element; verify.py compares it with that closed form.
+The transverse components P_x, P_y vanish by construction. For weak
+fields P_z is linear in the field with slope C_P = 4.9e-9 m/V, a
+published limit-cycle result adopted here as a fixed coefficient (valid
+up to ~1e7 V/m); the same applies to the stationary level-weight
+difference DELTA_W_LIMIT_CYCLE = 0.62.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ DELTA_W_LIMIT_CYCLE = 0.62
 _Z_MATRIX_ELEMENT = dipole_matrix_element(1, 0, 0, 0, axis=3).real
 
 _WEIGHT_TOL = 1e-12
-_FORM_AGREEMENT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,10 +86,9 @@ def permanent_polarization(alpha: float, w_plus: float, w_minus: float) -> float
         P_z = (w_minus + 3 w_plus)/2 · <mix0|n_z|mix0>
             + (w_minus + 3 w_plus)/6 · <mix1|n_z|mix1>
 
-    with the quadrature value of <1,0|n_z|0,0>, and cross-checks it
-    against the closed form sin(2·alpha)/(3·sqrt(3)). The weights must
-    satisfy w_minus + 3·w_plus = 1, and given that constraint the result
-    is weight-independent.
+    with the quadrature value of <1,0|n_z|0,0>. The weights must satisfy
+    w_minus + 3·w_plus = 1, and given that constraint the result is
+    weight-independent: sin(2·alpha)/(3·sqrt(3)).
     """
     norm = w_minus + 3.0 * w_plus
     if abs(norm - 1.0) > _WEIGHT_TOL:
@@ -99,14 +99,7 @@ def permanent_polarization(alpha: float, w_plus: float, w_minus: float) -> float
     n_z = np.array([[0.0, _Z_MATRIX_ELEMENT], [_Z_MATRIX_ELEMENT, 0.0]], dtype=complex)
     exp0 = float(np.real(np.vdot(states.amp_0, n_z @ states.amp_0)))
     exp1 = float(np.real(np.vdot(states.amp_1, n_z @ states.amp_1)))
-    weighted = (norm / 2.0) * exp0 + (norm / 6.0) * exp1
-    closed = math.sin(2.0 * alpha) / (3.0 * math.sqrt(3.0))
-    if abs(weighted - closed) > _FORM_AGREEMENT_TOL * max(1.0, abs(closed)):
-        raise RuntimeError(
-            "weighted polarization disagrees with its closed form: "
-            f"{weighted!r} vs {closed!r}"
-        )
-    return weighted
+    return (norm / 2.0) * exp0 + (norm / 6.0) * exp1
 
 
 def linearized_polarization(E0z: float) -> float:

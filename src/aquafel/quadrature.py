@@ -84,15 +84,7 @@ def sphere_integral(values: np.ndarray, weights: np.ndarray) -> complex:
     return complex(np.sum(values * weights))
 
 
-def dipole_matrix_element(
-    l1: int,
-    m1: int,
-    l2: int,
-    m2: int,
-    axis: int,
-    n_theta: int = GAUSS_LEGENDRE_ORDER,
-    n_phi: int = TRAPEZOID_ORDER,
-) -> complex:
+def dipole_matrix_element(l1: int, m1: int, l2: int, m2: int, axis: int) -> complex:
     """<l1,m1| n_axis |l2,m2> by 2-D quadrature, in units of the bare dipole d0.
 
     Both states must be in the two lowest rotational multiplets
@@ -104,7 +96,7 @@ def dipole_matrix_element(
             raise ValueError(f"l must be 0 or 1 for dipole elements, got l={l}")
         if abs(m) > l:
             raise ValueError(f"invalid quantum numbers (l={l}, m={m})")
-    tt, pp, ww = _sphere_grid(n_theta, n_phi)
+    tt, pp, ww = _sphere_grid(GAUSS_LEGENDRE_ORDER, TRAPEZOID_ORDER)
     integrand = (
         np.conj(spherical_harmonic(l1, m1, tt, pp))
         * direction_cosine(axis, tt, pp)

@@ -132,6 +132,10 @@ def run_scenario(config: ScenarioConfig, defaulted: list[str] | None = None) -> 
     degenerate) and the summary records the mechanism-off outcome.
     """
     summary, rotor, coeffs = _derive(config, defaulted)
+    # an unusable output_dir fails here, before the integration
+    out = None if config.output_dir is None else Path(config.output_dir)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
 
     traj: Trajectory | None = None
     diag: Diagnostics | None = None
@@ -160,9 +164,7 @@ def run_scenario(config: ScenarioConfig, defaulted: list[str] | None = None) -> 
         }
 
     summary_path = trajectory_path = None
-    if config.output_dir is not None:
-        out = Path(config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         summary_path = out / "summary.json"
         write_summary(summary, summary_path)
         if traj is not None:
@@ -191,7 +193,10 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
 
 def read_trajectory_csv(path: str | Path) -> Trajectory:
     """Inverse of write_trajectory_csv (used by the plot subcommand)."""
-    lines = Path(path).read_text().strip().splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"not a trajectory CSV (bad header): {path}")
     width = len(CSV_HEADER.split(","))

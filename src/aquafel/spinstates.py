@@ -14,11 +14,11 @@ are kept unnormalized exactly as defined (norm² = 2/3, mutual overlap
 1/3): normalizing them would change the 1/(2·sqrt(3)) coupling
 coefficient that every expectation below carries.
 
-The module provides two independent evaluations of the radiation-dipole
-interaction energy per molecule — an explicit construction from frame
-vectors, phase shifts, and 2x2 matrix expectations, and the closed form
-+/- A0·omega_c·d0_tilde·cos(xi2)·sin(theta + phi0 + delta)/(2·sqrt(3)) —
-and checks them against each other on every call.
+ponderomotive_term builds the radiation-dipole interaction energy per
+molecule from frame vectors, phase shifts and 2x2 matrix expectations.
+Its closed form
++/- A0·omega_c·d0_tilde·cos(xi2)·sin(theta + phi0 + delta)/(2·sqrt(3))
+is not evaluated here: verify.py compares the two.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 from .rotor import RigidRotor
 
 _SQRT3 = math.sqrt(3.0)
-_AGREEMENT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -157,17 +156,12 @@ def ponderomotive_term(
 ) -> float:
     """Radiation-dipole interaction energy of one molecule [J].
 
-    Numeric path: project the lab field onto the frame vectors e1, e2,
-    shift the cooperative phase difference by xi1 (the frame rotation
-    about z re-phases the energy eigenstates), take the 2x2 spin
-    expectations in the rotated frame, and contract using the
-    time-derivative rule d(s1)/dt = -omega_c·s2, d(s2)/dt = +omega_c·s1.
-    The s2 channel carries cos(xi2) because the dipole z-channel has no
+    Projects the lab field onto the frame vectors e1, e2, shifts the
+    cooperative phase difference by xi1 (the frame rotation about z
+    re-phases the energy eigenstates), takes the 2x2 spin expectations in
+    the rotated frame, and contracts them using the time-derivative rule
+    d(s1)/dt = -omega_c·s2, d(s2)/dt = +omega_c·s1. The s2 channel carries cos(xi2) because the dipole z-channel has no
     matrix element inside the two-level space.
-
-    The result is checked against the closed form
-    +/- A0·omega_c·d0_tilde·cos(xi2)·sin(theta+phi0+delta)/(2·sqrt(3))
-    (+ for psi_g, - for psi_e) on every call.
     """
     if A0 < 0.0:
         raise ValueError("field amplitude A0 must be non-negative")
@@ -178,24 +172,7 @@ def ponderomotive_term(
     pair = superradiant_pair(0.0, theta + delta + frame.xi1)
     s1_exp = spin_expectation(pair, which, 1)
     s2_exp = math.cos(frame.xi2) * spin_expectation(pair, which, 2)
-    value = rotor.omega_c * rotor.d0_tilde * (A_dot_e1 * (-s2_exp) + A_dot_e2 * s1_exp)
-
-    sign = 1.0 if which == "g" else -1.0
-    closed = (
-        sign
-        * A0
-        * rotor.omega_c
-        * rotor.d0_tilde
-        * math.cos(frame.xi2)
-        * math.sin(theta + phi0 + delta)
-        / (2.0 * _SQRT3)
-    )
-    scale = A0 * rotor.omega_c * rotor.d0_tilde + abs(closed)
-    if abs(value - closed) > _AGREEMENT_RTOL * max(scale, 1e-300):
-        raise RuntimeError(
-            f"ponderomotive paths disagree: numeric {value!r} vs closed {closed!r}"
-        )
-    return value
+    return rotor.omega_c * rotor.d0_tilde * (A_dot_e1 * (-s2_exp) + A_dot_e2 * s1_exp)
 
 
 def per_ion_ponderomotive(

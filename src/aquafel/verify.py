@@ -2,9 +2,12 @@
 
 Each check recomputes a closed-form result through an independent route
 (quadrature vs analytic values, matrix arithmetic vs trigonometric
-closed forms) and reports the worst deviation. The CLI `verify`
-subcommand prints one line per check; the test suite asserts the same
-bounds.
+closed forms) and reports the worst deviation. This is the one place
+where the derivations in spinstates and mixing meet their closed forms:
+the functions themselves return the derived value unchecked, so a fault
+shows here as a FAIL line while the other checks still run. The CLI
+`verify` subcommand prints one line per check; the test suite asserts
+the same bounds.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from .spinstates import (
 )
 
 _SQRT3 = math.sqrt(3.0)
+#: Random draws of the two derivation-vs-closed-form checks.
+_DRAWS = 1000
 
 
 @dataclass(frozen=True)
@@ -86,13 +91,13 @@ def check_superradiant_geometry() -> CheckResult:
     return _check("superradiant norms 2/3 and overlap 1/3", worst, 1e-14)
 
 
-def check_ponderomotive_two_paths(n_draws: int = 1000) -> CheckResult:
+def check_ponderomotive_two_paths() -> CheckResult:
     """Frame-built value vs trigonometric closed form over random draws."""
     rotor = build_rotor()
     rng = np.random.default_rng(777)
     scale0 = rotor.omega_c * rotor.d0_tilde
     worst = 0.0
-    for _ in range(n_draws):
+    for _ in range(_DRAWS):
         A0 = rng.uniform(0.0, 2.0)
         phi0, theta, delta = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 3)
         xi1 = rng.uniform(0.0, math.pi)
@@ -108,7 +113,7 @@ def check_ponderomotive_two_paths(n_draws: int = 1000) -> CheckResult:
         denom = max(A0 * scale0, 1e-300)
         worst = max(worst, abs(value - closed) / denom)
     return _check(
-        f"ponderomotive numeric vs closed form ({n_draws} draws, relative)", worst, 1e-12
+        f"ponderomotive numeric vs closed form ({_DRAWS} draws, relative)", worst, 1e-12
     )
 
 
@@ -174,16 +179,16 @@ def check_free_energy_expectations() -> CheckResult:
     return _check("free-energy expectation -E_split/6 per state", worst, 1e-14)
 
 
-def check_polarization_forms(n_draws: int = 1000) -> CheckResult:
+def check_polarization_forms() -> CheckResult:
     rng = np.random.default_rng(782)
     worst = 0.0
-    for _ in range(n_draws):
+    for _ in range(_DRAWS):
         alpha = float(rng.uniform(-math.pi, math.pi))
         w_plus = float(rng.uniform(0.0, 1.0 / 3.0))
         value = permanent_polarization(alpha, w_plus, 1.0 - 3.0 * w_plus)
         worst = max(worst, abs(value - math.sin(2.0 * alpha) / (3.0 * _SQRT3)))
     return _check(
-        f"weighted vs closed-form polarization ({n_draws} draws)", worst, 1e-12
+        f"weighted vs closed-form polarization ({_DRAWS} draws)", worst, 1e-12
     )
 
 

@@ -273,6 +273,49 @@ def test_polar_equivalence_over_growth_phase():
     assert polar_equivalence(cfg) < 1e-6
 
 
+# --- exact oracles --------------------------------------------------------------
+
+
+def linear_field(tau, a0, b0, p0):
+    """A(tau) of the linearized dynamics A''' = -i A.
+
+    Linearizing about uniform phases gives A' = b, b' = i<p e^{i theta}>
+    and <p e^{i theta}>' = -A, so A = sum_k c_k e^{lambda_k tau} over the
+    three cube roots lambda_k of -i, with A(0) = a0, A'(0) = b0 and
+    A''(0) = i p0.
+    """
+    lam = np.exp(1j * (-math.pi / 2.0 + 2.0 * math.pi * np.arange(3)) / 3.0)
+    vandermonde = np.vander(lam, 3, increasing=True).T  # row m holds lambda_k^m
+    coef = np.linalg.solve(vandermonde, np.array([a0, b0, 1j * p0]))
+    return np.exp(np.outer(tau, lam)) @ coef
+
+
+def test_linear_regime_matches_closed_form():
+    cfg = small_config(n_particles=1024, tau_end=4.0, record_stride=1)
+    start = init_ensemble(cfg)
+    p0 = complex(np.mean(start.p * np.exp(1j * start.theta)))
+    traj, _ = run(cfg)
+    field = traj.amp * np.exp(-1j * traj.phi)
+    expected = linear_field(traj.tau, start.field, start.bunching(), p0)
+    assert np.max(np.abs(field - expected) / np.abs(expected)) < 1e-6
+
+
+def test_second_first_integral_is_conserved():
+    # H = <p^2>/2 - 2 Im(A conj(b)) is conserved besides <p> + |A|^2
+    def hamiltonian(s):
+        return float(np.mean(s.p**2)) / 2.0 - 2.0 * (s.field * np.conj(s.bunching())).imag
+
+    cfg = small_config(n_particles=256, tau_end=30.0, rng_seed=7)
+    state = init_ensemble(cfg)
+    h0 = hamiltonian(state)
+    drift = 0.0
+    for _ in range(cfg.n_steps):
+        state = step(state, cfg.dt)
+        drift = max(drift, abs(hamiltonian(state) - h0))
+    assert state.amp > 0.1  # the run went through saturation
+    assert drift < 1e-8
+
+
 # --- pairwise reduction ---------------------------------------------------------
 
 

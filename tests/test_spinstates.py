@@ -144,7 +144,6 @@ def test_ponderomotive_two_paths_random(rotor):
         phi0, theta, delta = (float(x) for x in rng.uniform(-7.0, 7.0, 3))
         frame = make_frame(float(rng.uniform(0.0, math.pi)), float(rng.uniform(0.0, 2.0 * math.pi)))
         which = "g" if rng.uniform() < 0.5 else "e"
-        # the function itself raises if its two evaluation paths disagree
         value = ponderomotive_term(A0, phi0, theta, delta, frame, rotor, which)
         sign = 1.0 if which == "g" else -1.0
         closed = (
