@@ -19,6 +19,11 @@ Integration is fixed-step classical RK4; the dynamics is smooth and
 non-stiff on the gain timescale. One RK4 combine (_rk4) advances both
 formulations, and one stepping loop (_steps) drives both run and
 polar_equivalence.
+
+Each EnsembleState computes its derivative once (EnsembleState.derivs):
+the recorded bunching factor is the dfield of that derivative, and the
+next step reuses the same arrays as its first RK4 stage, so a recorded
+sample costs no extra exp(i·theta).
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from dataclasses import field as dataclass_field
 
 import numpy as np
 
@@ -114,6 +120,7 @@ class EnsembleState:
     field_re: float
     field_im: float
     tau: float
+    _derivs: tuple | None = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def field(self) -> complex:
@@ -128,8 +135,19 @@ class EnsembleState:
         """Field phase, field = amp·e^{-i·phi}."""
         return -math.atan2(self.field_im, self.field_re)
 
+    def derivs(self) -> tuple[np.ndarray, np.ndarray, complex]:
+        """(dtheta, dp, dfield) at this state, computed on first use and kept.
+
+        Overflow in dp is silenced as in step, whose finiteness check reports it.
+        """
+        if self._derivs is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._derivs = _derivative_arrays(self.theta, self.p, self.field)
+        return self._derivs
+
     def bunching(self) -> complex:
-        return complex(pairwise_mean(np.exp(1j * self.theta)))
+        """<e^{i·theta}>, the dfield of derivs()."""
+        return self.derivs()[2]
 
     def p_mean(self) -> float:
         return float(pairwise_mean(self.p))
@@ -207,9 +225,11 @@ def _derivative_arrays(theta, p, field):
     return p, dp, dfield
 
 
-def _rk4(deriv, y: tuple, dt: float) -> tuple:
-    """One classical RK4 step of dy/dtau = deriv(*y) over a tuple of arrays and scalars."""
-    k1 = deriv(*y)
+def _rk4(deriv, y: tuple, k1: tuple, dt: float) -> tuple:
+    """One classical RK4 step of dy/dtau = deriv(*y) over a tuple of arrays and scalars.
+
+    k1 is deriv(*y), which the caller may already hold.
+    """
     k2 = deriv(*(a + 0.5 * dt * k for a, k in zip(y, k1)))
     k3 = deriv(*(a + 0.5 * dt * k for a, k in zip(y, k2)))
     k4 = deriv(*(a + dt * k for a, k in zip(y, k3)))
@@ -224,7 +244,8 @@ def step(state: EnsembleState, dt: float) -> EnsembleState:
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     with np.errstate(over="ignore", invalid="ignore"):
-        theta, p, field = _rk4(_derivative_arrays, (state.theta, state.p, state.field), dt)
+        theta, p, field = _rk4(_derivative_arrays, (state.theta, state.p, state.field),
+                               state.derivs(), dt)
     if not (
         np.isfinite(theta).all()
         and np.isfinite(p).all()
@@ -330,7 +351,7 @@ def polar_equivalence(config: SimConfig) -> float:
     polar = (state.theta, state.p, state.amp, state.phi)
     max_dev = 0.0
     for _, state in steps:
-        polar = _rk4(polar_derivative, polar, config.dt)
+        polar = _rk4(polar_derivative, polar, polar_derivative(*polar), config.dt)
         dev = abs(polar[2] * np.exp(-1j * polar[3]) - state.field)
         if dev > max_dev:
             max_dev = float(dev)

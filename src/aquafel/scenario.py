@@ -6,10 +6,17 @@ physical readout, and writes a self-contained summary.json plus a
 trajectory.csv time series. All floats in the CSV are written with 17
 significant digits in scientific notation so outputs are bitwise
 reproducible and round-trip exactly.
+
+The equations of motion are in scaled units, so the physical inputs
+(rho, P_z, T, n, delta_w) enter only through the rescaling by A_sat and
+t_gain. The integration therefore depends on the SimConfig alone, and
+_scaled_run keeps the last one: configs that differ only in physics share
+one integration, and its Trajectory arrays are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -19,7 +26,7 @@ import numpy as np
 
 from .config import ConfigError, ScenarioConfig, resolved_entries
 from .constants import CODATA2018
-from .dynamics import Diagnostics, Trajectory, run, validity_ratio
+from .dynamics import Diagnostics, SimConfig, Trajectory, run, validity_ratio
 from .mixing import DELTA_W_LIMIT_CYCLE, polarization_result, solvation_inversion
 from .quadrature import GAUSS_LEGENDRE_ORDER, TRAPEZOID_ORDER
 from .rotor import RigidRotor, build_rotor, thermal_inversion
@@ -27,6 +34,10 @@ from .scaling import GainCoefficients, SystemParams, gain_coefficients
 
 #: Trajectory CSV columns, in the field order of Trajectory.
 CSV_HEADER = "tau,A0_scaled,phi,bunch_re,bunch_im,p_mean,conserved"
+#: One trajectory CSV row: the same text as f"{v:.16e}" for every value.
+CSV_ROW = ",".join(["%.16e"] * len(CSV_HEADER.split(","))) + "\n"
+SWEEP_HEADER = "rho,P_z,A_sat,t_gain"
+SWEEP_ROW = ",".join(["%.16e"] * len(SWEEP_HEADER.split(","))) + "\n"
 
 
 @dataclass(frozen=True)
@@ -125,11 +136,28 @@ def _json_float(x: float):
     return x
 
 
+@functools.lru_cache(maxsize=1)
+def _scaled_run(sim: SimConfig) -> tuple[Trajectory, Diagnostics]:
+    """run(sim), kept for the next call with an equal SimConfig.
+
+    The arrays of the kept Trajectory are read-only, so no caller can
+    change what a later call returns. A run that raises is not kept.
+    """
+    traj, diag = run(sim)
+    for f in fields(Trajectory):
+        getattr(traj, f.name).flags.writeable = False
+    return traj, diag
+
+
 def run_scenario(config: ScenarioConfig, defaulted: list[str] | None = None) -> ScenarioResult:
     """Full pipeline; writes summary.json and trajectory.csv under output_dir.
 
-    With P_z = 0 the simulation is skipped (the scaled equations are
-    degenerate) and the summary records the mechanism-off outcome.
+    The scaled integration comes from _scaled_run: one integration per
+    distinct SimConfig, so consecutive configs that differ only in physics
+    reuse it, and the returned trajectory's arrays are read-only. Its
+    outputs are the same bytes as from a fresh integration. With P_z = 0
+    the simulation is skipped (the scaled equations are degenerate) and
+    the summary records the mechanism-off outcome.
     """
     summary, rotor, coeffs = _derive(config, defaulted)
     # an unusable output_dir fails here, before the integration
@@ -140,7 +168,7 @@ def run_scenario(config: ScenarioConfig, defaulted: list[str] | None = None) -> 
     traj: Trajectory | None = None
     diag: Diagnostics | None = None
     if coeffs.mechanism_on:
-        traj, diag = run(config.sim)
+        traj, diag = _scaled_run(config.sim)
         summary["simulation"] = {
             "growth_rate_fit": _json_float(diag.growth_rate_fit),
             "sat_peak": _json_float(diag.sat_peak),
@@ -188,7 +216,7 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     columns = np.column_stack([getattr(traj, f.name) for f in fields(Trajectory)])
     with Path(path).open("w") as fh:
         fh.write(CSV_HEADER + "\n")
-        fh.writelines(",".join(f"{v:.16e}" for v in row) + "\n" for row in columns)
+        fh.writelines(CSV_ROW % tuple(row.tolist()) for row in columns)
 
 
 def read_trajectory_csv(path: str | Path) -> Trajectory:
@@ -297,5 +325,5 @@ def sweep(
 
 def write_sweep_csv(rows: list[SweepRow], path: Path) -> None:
     with Path(path).open("w") as fh:
-        fh.write("rho,P_z,A_sat,t_gain\n")
-        fh.writelines(f"{r.rho:.16e},{r.P_z:.16e},{r.A_sat:.16e},{r.t_gain:.16e}\n" for r in rows)
+        fh.write(SWEEP_HEADER + "\n")
+        fh.writelines(SWEEP_ROW % (r.rho, r.P_z, r.A_sat, r.t_gain) for r in rows)
