@@ -268,14 +268,20 @@ def _steps(config: SimConfig):
 
 
 def run(config: SimConfig) -> tuple[Trajectory, Diagnostics]:
-    """Integrate to tau_end, recording every record_stride steps and the last."""
+    """Integrate to tau_end, recording every record_stride steps and the last.
+
+    Raises NumericalBlowupError on a non-finite step or recorded <p> + |field|^2.
+    """
     rows = []
     p_max_abs = 0.0
     for i, s in _steps(config):
         if i % config.record_stride == 0 or i == config.n_steps:
             b = s.bunching()
             pm = s.p_mean()
-            rows.append((s.tau, s.amp, s.phi, b.real, b.imag, pm, pm + s.amp * s.amp))
+            conserved = pm + s.amp * s.amp
+            if not math.isfinite(conserved):  # |field|^2 overflows before field does
+                raise NumericalBlowupError(f"non-finite <p> + |field|^2 at tau={s.tau!r}")
+            rows.append((s.tau, s.amp, s.phi, b.real, b.imag, pm, conserved))
             p_max_abs = max(p_max_abs, float(np.max(np.abs(s.p))))
     traj = Trajectory(*np.array(rows).T)
     return traj, _diagnose(traj, config, p_max_abs)

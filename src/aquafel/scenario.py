@@ -1,11 +1,13 @@
 """End-to-end scenario execution, parameter sweeps and file output.
 
-run_scenario drives the full chain: rotor constants -> polarization ->
-shell inversion -> gain coefficients -> N-particle integration ->
-physical readout, and writes a self-contained summary.json plus a
-trajectory.csv time series. All floats in the CSV are written with 17
-significant digits in scientific notation so outputs are bitwise
-reproducible and round-trip exactly.
+derive_chain computes the physical chain once: rotor constants ->
+polarization -> shell inversion -> gain coefficients, as the "derived"
+part of the summary. run_scenario calls it, integrates, rescales the
+scaled results by the A_sat and t_gain that the summary reports, and
+writes a self-contained summary.json plus a trajectory.csv time series.
+All floats in the CSV are written with 17 significant digits in
+scientific notation so outputs are bitwise reproducible and round-trip
+exactly.
 
 The equations of motion are in scaled units, so the physical inputs
 (rho, P_z, T, n, delta_w) enter only through the rescaling by A_sat and
@@ -29,8 +31,8 @@ from .constants import CODATA2018
 from .dynamics import Diagnostics, SimConfig, Trajectory, run, validity_ratio
 from .mixing import DELTA_W_LIMIT_CYCLE, polarization_result, solvation_inversion
 from .quadrature import GAUSS_LEGENDRE_ORDER, TRAPEZOID_ORDER
-from .rotor import RigidRotor, build_rotor, thermal_inversion
-from .scaling import GainCoefficients, SystemParams, gain_coefficients
+from .rotor import build_rotor, thermal_inversion
+from .scaling import SystemParams, gain_coefficients
 
 #: Trajectory CSV columns, in the field order of Trajectory.
 CSV_HEADER = "tau,A0_scaled,phi,bunch_re,bunch_im,p_mean,conserved"
@@ -45,21 +47,17 @@ class ScenarioResult:
     """Everything run_scenario produced, plus the output paths."""
 
     summary: dict
-    coeffs: GainCoefficients
     trajectory: Trajectory | None
-    diagnostics: Diagnostics | None
     summary_path: Path | None
     trajectory_path: Path | None
 
     @property
     def mechanism_on(self) -> bool:
-        return self.coeffs.mechanism_on
+        return self.summary["derived"]["mechanism_on"]
 
 
-def _derive(
-    config: ScenarioConfig, defaulted: list[str] | None
-) -> tuple[dict, RigidRotor, GainCoefficients]:
-    """The physical chain, each step computed once: (summary, rotor, coeffs)."""
+def derive_chain(config: ScenarioConfig, defaulted: list[str] | None = None) -> dict:
+    """Physical derivation chain as a JSON-ready dict (no simulation)."""
     rotor = build_rotor(CODATA2018)
     P_z = config.polarization()
     pol = polarization_result(P_z, config.n_waters, config.delta_w)
@@ -114,17 +112,12 @@ def _derive(
             f"mechanism off: {mechanism_off_cause(P_z)} gives zero saturation amplitude and "
             "infinite gain time"
         )
-    return summary, rotor, coeffs
+    return summary
 
 
 def mechanism_off_cause(P_z: float) -> str:
     """Why a scenario has no gain: no polarization, else no shell inversion."""
     return "P_z = 0" if P_z == 0.0 else "zero shell inversion (delta_w = 0)"
-
-
-def derive_chain(config: ScenarioConfig, defaulted: list[str] | None = None) -> dict:
-    """Physical derivation chain as a JSON-ready dict (no simulation)."""
-    return _derive(config, defaulted)[0]
 
 
 def _json_float(x: float):
@@ -152,23 +145,25 @@ def _scaled_run(sim: SimConfig) -> tuple[Trajectory, Diagnostics]:
 def run_scenario(config: ScenarioConfig, defaulted: list[str] | None = None) -> ScenarioResult:
     """Full pipeline; writes summary.json and trajectory.csv under output_dir.
 
-    The scaled integration comes from _scaled_run: one integration per
-    distinct SimConfig, so consecutive configs that differ only in physics
-    reuse it, and the returned trajectory's arrays are read-only. Its
-    outputs are the same bytes as from a fresh integration. With P_z = 0
+    The physical scales come from derive_chain's summary. The scaled
+    integration comes from _scaled_run: one integration per distinct
+    SimConfig, so consecutive configs that differ only in physics reuse
+    it, and the returned trajectory's arrays are read-only. Its outputs
+    are the same bytes as from a fresh integration. With P_z = 0
     the simulation is skipped (the scaled equations are degenerate) and
     the summary records the mechanism-off outcome.
     """
-    summary, rotor, coeffs = _derive(config, defaulted)
+    summary = derive_chain(config, defaulted)
+    derived = summary["derived"]
     # an unusable output_dir fails here, before the integration
     out = None if config.output_dir is None else Path(config.output_dir)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
     traj: Trajectory | None = None
-    diag: Diagnostics | None = None
-    if coeffs.mechanism_on:
+    if derived["mechanism_on"]:
         traj, diag = _scaled_run(config.sim)
+        A_sat, t_gain = derived["A_sat_V_s_per_m"], derived["t_gain_s"]
         summary["simulation"] = {
             "growth_rate_fit": _json_float(diag.growth_rate_fit),
             "sat_peak": _json_float(diag.sat_peak),
@@ -178,11 +173,11 @@ def run_scenario(config: ScenarioConfig, defaulted: list[str] | None = None) -> 
             "conserved_final": diag.conserved,
             "conserved_drift": diag.conserved_drift,
             # NaN, like sat_peak and sat_tau, when no saturation peak was found
-            "A0_at_sat_V_s_per_m": _json_float(diag.sat_peak * coeffs.A_sat),
-            "t_at_sat_s": _json_float(diag.sat_tau * coeffs.t_gain),
+            "A0_at_sat_V_s_per_m": _json_float(diag.sat_peak * A_sat),
+            "t_at_sat_s": _json_float(diag.sat_tau * t_gain),
             # max_I |theta_dot_I| / omega_c over the recorded states
             "validity_max_theta_dot_over_omega_c": validity_ratio(
-                diag.p_max_abs, coeffs.t_gain, rotor.omega_c
+                diag.p_max_abs, t_gain, derived["omega_c_rad_s"]
             ),
         }
     else:
@@ -198,14 +193,7 @@ def run_scenario(config: ScenarioConfig, defaulted: list[str] | None = None) -> 
         if traj is not None:
             trajectory_path = out / "trajectory.csv"
             write_trajectory_csv(traj, trajectory_path)
-    return ScenarioResult(
-        summary=summary,
-        coeffs=coeffs,
-        trajectory=traj,
-        diagnostics=diag,
-        summary_path=summary_path,
-        trajectory_path=trajectory_path,
-    )
+    return ScenarioResult(summary, traj, summary_path, trajectory_path)
 
 
 def write_summary(summary: dict, path: Path) -> None:

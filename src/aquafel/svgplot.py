@@ -9,6 +9,7 @@ that guarantee).
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +28,20 @@ def _fmt(x: float) -> str:
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    return [lo + (hi - lo) * k / (count - 1) for k in range(count)]
+    # k / (count - 1) first, so a span near the largest double does not overflow
+    return [lo + (hi - lo) * (k / (count - 1)) for k in range(count)]
+
+
+def _finite(coord: float, axis: str, lo: float, hi: float) -> float:
+    if not math.isfinite(coord):
+        raise ValueError(f"cannot plot: the {axis} axis from {lo!r} to {hi!r} "
+                         "maps a value to a non-finite coordinate")
+    return coord
 
 
 def render_svg(traj: Trajectory, log_scale: bool = False) -> str:
-    """SVG text for amp(tau) and |b|(tau); raises on an empty trajectory."""
+    """SVG text for amp(tau) and |b|(tau); raises ValueError on an empty
+    trajectory or, naming the axis, on a value with no finite coordinate."""
     if len(traj) == 0:
         raise ValueError("cannot plot an empty trajectory")
     tau = traj.tau
@@ -57,10 +67,10 @@ def render_svg(traj: Trajectory, log_scale: bool = False) -> str:
     plot_h = _HEIGHT - _MT - _MB
 
     def sx(x: float) -> float:
-        return _ML + plot_w * (x - x_lo) / (x_hi - x_lo)
+        return _finite(_ML + plot_w * (x - x_lo) / (x_hi - x_lo), "tau", x_lo, x_hi)
 
     def sy(y: float) -> float:
-        return _MT + plot_h * (1.0 - (y - y_lo) / (y_hi - y_lo))
+        return _finite(_MT + plot_h * (1.0 - (y - y_lo) / (y_hi - y_lo)), y_label, y_lo, y_hi)
 
     def polyline(xs, ys, color: str) -> str:
         pts = " ".join(f"{_fmt(sx(float(x)))},{_fmt(sy(float(y)))}" for x, y in zip(xs, ys))

@@ -189,6 +189,19 @@ def test_run_propagates_blowup():
         run(small_config(seed_amp=1e308, tau_end=0.5))
 
 
+def test_run_propagates_step_blowup():
+    # |field|^2 = 1e300 is finite at tau = 0; the first step's phases overflow
+    cfg = small_config(n_particles=8, dt=1e150, tau_end=1e150, seed_amp=1e150)
+    with pytest.raises(NumericalBlowupError, match="after step"):
+        run(cfg)
+
+
+def test_run_rejects_overflowing_field_energy():
+    # every component of the state is finite, but |field|^2 = 1e400 is not
+    with pytest.raises(NumericalBlowupError, match=r"\|field\|\^2 at tau=0.0"):
+        run(small_config(seed_amp=1e200, tau_end=0.5))
+
+
 # --- trajectory-level properties ----------------------------------------------
 
 
