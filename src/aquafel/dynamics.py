@@ -15,19 +15,32 @@ continuous system conserves <p> + |field|².
 
 Ensemble means use a fixed-order pairwise (tree) reduction so results
 are bitwise reproducible and accurate for large particle counts.
-Integration is fixed-step classical RK4; the dynamics is smooth and
-non-stiff on the gain timescale. One RK4 combine (_rk4) advances both
-formulations, and one stepping loop (_steps) drives both run and
-polar_equivalence.
 
-Each EnsembleState computes its derivative once (EnsembleState.derivs):
-the recorded bunching factor is the dfield of that derivative, and the
-next step reuses the same arrays as its first RK4 stage, so a recorded
-sample costs no extra exp(i·theta).
+step is Yoshida's fourth-order symmetric composition (the "triple
+jump", weights w1 = 1/(2 - 2^{1/3}) and w0 = -2^{1/3}·w1) of two exact
+flows:
+
+    kick   theta frozen, so b = <e^{i·theta}> is constant over h:
+           p += h·(-2 Re((field + h·b/2)·e^{-i·theta})), field += h·b
+           (conserves <p> + |field|² to rounding)
+    drift  theta += h·p
+
+Both flows are exact, so the composition is symplectic and the second
+first integral <p²>/2 - 2 Im(field·conj(b)) does not drift secularly.
+It runs first-same-as-last: the closing kick of a step and the opening
+kick of the next share e^{i·theta}, which each EnsembleState keeps with b
+(EnsembleState.phases). A step therefore evaluates the phases
+(_phase_factors: one exp and one pairwise mean) 3 times, and a recorded
+bunching factor is the cached b, at no extra exp(i·theta).
+
+Classical RK4 (_rk4) remains for one purpose: polar_equivalence advances
+the complex and polar forms with it in lockstep. One stepping loop
+(_steps) drives run.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -107,7 +120,7 @@ class SimConfig:
 
     @property
     def n_steps(self) -> int:
-        """RK4 steps from 0 to tau_end."""
+        """Integrator steps from 0 to tau_end."""
         return round(self.tau_end / self.dt)
 
 
@@ -120,7 +133,7 @@ class EnsembleState:
     field_re: float
     field_im: float
     tau: float
-    _derivs: tuple | None = dataclass_field(default=None, init=False, repr=False, compare=False)
+    _phases: tuple | None = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def field(self) -> complex:
@@ -135,19 +148,18 @@ class EnsembleState:
         """Field phase, field = amp·e^{-i·phi}."""
         return -math.atan2(self.field_im, self.field_re)
 
-    def derivs(self) -> tuple[np.ndarray, np.ndarray, complex]:
-        """(dtheta, dp, dfield) at this state, computed on first use and kept.
+    def phases(self) -> tuple[np.ndarray, complex]:
+        """(e^{i·theta}, <e^{i·theta}>) at this state, computed on first use and kept.
 
-        Overflow in dp is silenced as in step, whose finiteness check reports it.
+        step hands each new state the pair its closing kick used.
         """
-        if self._derivs is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                self._derivs = _derivative_arrays(self.theta, self.p, self.field)
-        return self._derivs
+        if self._phases is None:
+            self._phases = _phase_factors(self.theta)
+        return self._phases
 
     def bunching(self) -> complex:
-        """<e^{i·theta}>, the dfield of derivs()."""
-        return self.derivs()[2]
+        """<e^{i·theta}>, the b of phases()."""
+        return self.phases()[1]
 
     def p_mean(self) -> float:
         return float(pairwise_mean(self.p))
@@ -225,6 +237,12 @@ def _derivative_arrays(theta, p, field):
     return p, dp, dfield
 
 
+def _phase_factors(theta: np.ndarray) -> tuple[np.ndarray, complex]:
+    """(e^{i·theta}, <e^{i·theta}>): the one phase evaluation of the integrator."""
+    eith = np.exp(1j * theta)
+    return eith, complex(pairwise_mean(eith))
+
+
 def _rk4(deriv, y: tuple, k1: tuple, dt: float) -> tuple:
     """One classical RK4 step of dy/dtau = deriv(*y) over a tuple of arrays and scalars.
 
@@ -239,22 +257,45 @@ def _rk4(deriv, y: tuple, k1: tuple, dt: float) -> tuple:
     )
 
 
+#: Yoshida's triple jump: drift weights (w1, w0, w1), and the kick weights
+#: around them, half of each neighbouring drift's.
+_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_W0 = -(2.0 ** (1.0 / 3.0)) * _W1
+_DRIFTS = (_W1, _W0, _W1)
+_KICKS = (0.5 * _W1, 0.5 * (_W1 + _W0), 0.5 * (_W0 + _W1), 0.5 * _W1)
+
+
+def _kick(eith: np.ndarray, b: complex, p: np.ndarray, field: complex, h: float):
+    """Exact flow over h with the phases frozen: the field moves by h·b and the
+    momenta take the force of the field's mean over h (formed before scaling by
+    h, so a field near the largest double overflows as in _derivative_arrays)."""
+    # Re(conj(c)·e^{i·theta}) equals Re(c·e^{-i·theta}) bit for bit and conjugates no array
+    force = -2.0 * ((field + (0.5 * h) * b).conjugate() * eith).real
+    return p + h * force, field + h * b
+
+
+def _require_finite(theta, p, field: complex, tau: float) -> None:
+    if not (np.isfinite(theta).all() and np.isfinite(p).all() and cmath.isfinite(field)):
+        raise NumericalBlowupError(f"non-finite state after step at tau={tau!r}")
+
+
 def step(state: EnsembleState, dt: float) -> EnsembleState:
-    """One classical RK4 step; raises NumericalBlowupError on non-finite state."""
+    """One fourth-order symplectic step; raises NumericalBlowupError on non-finite state."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    theta, p, field = state.theta, state.p, state.field
     with np.errstate(over="ignore", invalid="ignore"):
-        theta, p, field = _rk4(_derivative_arrays, (state.theta, state.p, state.field),
-                               state.derivs(), dt)
-    if not (
-        np.isfinite(theta).all()
-        and np.isfinite(p).all()
-        and math.isfinite(field.real)
-        and math.isfinite(field.imag)
-    ):
-        raise NumericalBlowupError(f"non-finite state after step at tau={state.tau!r}")
+        eith, b = state.phases()
+        for kick, drift in zip(_KICKS, _DRIFTS):
+            p, field = _kick(eith, b, p, field, kick * dt)
+            theta = theta + (drift * dt) * p
+            eith, b = _phase_factors(theta)
+        p, field = _kick(eith, b, p, field, _KICKS[-1] * dt)
+    _require_finite(theta, p, field, state.tau)
     # the caller assigns tau from the step index
-    return EnsembleState(theta=theta, p=p, field_re=field.real, field_im=field.imag, tau=state.tau)
+    out = EnsembleState(theta=theta, p=p, field_re=field.real, field_im=field.imag, tau=state.tau)
+    out._phases = (eith, b)
+    return out
 
 
 def _steps(config: SimConfig):
@@ -349,16 +390,20 @@ def polar_derivative(theta, p, amp: float, phi: float):
 def polar_equivalence(config: SimConfig) -> float:
     """Max |field_polar - field_complex| between the two formulations.
 
-    Both forms start from identical initial data and use the same RK4
-    stepping; the deviation is sampled once per step.
+    Both forms start from identical initial data and advance in lockstep
+    with the same RK4 combine (_rk4), so the deviation measures the
+    formulations and not the integrator; it is sampled once per step.
     """
-    steps = _steps(config)
-    _, state = next(steps)
-    polar = (state.theta, state.p, state.amp, state.phi)
+    start = init_ensemble(config)
+    cplx = (start.theta, start.p, start.field)
+    polar = (start.theta, start.p, start.amp, start.phi)
     max_dev = 0.0
-    for _, state in steps:
+    for i in range(config.n_steps):
+        with np.errstate(over="ignore", invalid="ignore"):
+            cplx = _rk4(_derivative_arrays, cplx, _derivative_arrays(*cplx), config.dt)
+        _require_finite(*cplx, i * config.dt)
         polar = _rk4(polar_derivative, polar, polar_derivative(*polar), config.dt)
-        dev = abs(polar[2] * np.exp(-1j * polar[3]) - state.field)
+        dev = abs(polar[2] * np.exp(-1j * polar[3]) - cplx[2])
         if dev > max_dev:
             max_dev = float(dev)
     return max_dev

@@ -54,8 +54,8 @@ def render_svg(traj: Trajectory, log_scale: bool = False) -> str:
     else:
         y_label = "amplitude"
 
-    x_lo = float(tau[0])
-    x_hi = float(tau[-1])
+    x_lo = float(tau.min())
+    x_hi = float(tau.max())
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
     y_lo = float(min(amp.min(), bmag.min()))
@@ -67,7 +67,8 @@ def render_svg(traj: Trajectory, log_scale: bool = False) -> str:
     plot_h = _HEIGHT - _MT - _MB
 
     def sx(x: float) -> float:
-        return _finite(_ML + plot_w * (x - x_lo) / (x_hi - x_lo), "tau", x_lo, x_hi)
+        # the fraction first, so a span near the largest double does not overflow
+        return _finite(_ML + plot_w * ((x - x_lo) / (x_hi - x_lo)), "tau", x_lo, x_hi)
 
     def sy(y: float) -> float:
         return _finite(_MT + plot_h * (1.0 - (y - y_lo) / (y_hi - y_lo)), y_label, y_lo, y_hi)

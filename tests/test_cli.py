@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -309,6 +310,20 @@ def test_plot_subcommand(tmp_path):
 def test_plot_missing_trajectory(tmp_path):
     assert main(["plot", "--traj", str(tmp_path / "nope.csv"),
                  "--out", str(tmp_path / "x.svg")]) == EXIT_CONFIG
+
+
+def test_plot_of_unordered_tau_stays_inside_the_frame(tmp_path):
+    traj = tmp_path / "traj.csv"
+    traj.write_text(CSV_HEADER + "\n0,1,2,3,4,5,6\n1e308,1,2,3,4,5,6\n1,1,2,3,4,5,6\n")
+    svg = tmp_path / "x.svg"
+    assert main(["plot", "--traj", str(traj), "--out", str(svg)]) == EXIT_OK
+    body = svg.read_text()
+    left, width = map(float, re.search(r'<rect x="([\d.]+)" y="[\d.]+" width="([\d.]+)"', body).groups())
+    xs = [float(point.split(",")[0])
+          for points in re.findall(r'<polyline [^>]*points="([^"]*)"', body)
+          for point in points.split()]
+    assert len(xs) == 6
+    assert all(left <= x <= left + width for x in xs)
 
 
 def test_slippage_subcommand(capsys):

@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from aquafel import dynamics
 from aquafel.constants import CODATA2018
 from aquafel.dynamics import (
     EnsembleState,
     NumericalBlowupError,
     PolarSingularityError,
     SimConfig,
+    _first_local_max,
+    _fit_growth_rate,
+    _rk4,
     derivative,
     init_ensemble,
     pairwise_sum,
@@ -327,6 +331,66 @@ def test_second_first_integral_is_conserved():
         drift = max(drift, abs(hamiltonian(state) - h0))
     assert state.amp > 0.1  # the run went through saturation
     assert drift < 1e-8
+
+
+# --- the symplectic step against RK4 ---------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def saturating_run():
+    """A quiet start through saturation, every step recorded."""
+    cfg = SimConfig(n_particles=512, dt=0.01, tau_end=15.0, seed_amp=1e-4,
+                    init_mode="quiet-start", rng_seed=12345, record_stride=1)
+    return cfg, *run(cfg)
+
+
+def rk4_fields(cfg):
+    """field after each classical RK4 step of the complex-field equations."""
+    def deriv(theta, p, field):
+        return derivative(EnsembleState(theta, p, field.real, field.imag, 0.0))
+
+    start = init_ensemble(cfg)
+    y = (start.theta, start.p, start.field)
+    fields = [y[2]]
+    for _ in range(cfg.n_steps):
+        y = _rk4(deriv, y, deriv(*y), cfg.dt)
+        fields.append(y[2])
+    return np.array(fields)
+
+
+def test_run_matches_rk4_through_saturation(saturating_run):
+    cfg, traj, diag = saturating_run
+    reference = rk4_fields(cfg)
+    field = traj.amp * np.exp(-1j * traj.phi)
+    assert np.max(np.abs(field - reference)) / np.max(np.abs(reference)) <= 1e-7
+    amp = np.abs(reference)
+    peak = _first_local_max(amp)
+    assert diag.sat_tau == traj.tau[peak]
+    assert abs(diag.sat_peak - amp[peak]) <= 1e-7
+    assert abs(diag.growth_rate_fit - _fit_growth_rate(traj.tau, amp, cfg.seed_amp)) <= 1e-7
+
+
+def test_kicks_conserve_momentum_plus_field_energy_to_rounding(saturating_run):
+    _, traj, diag = saturating_run
+    assert traj.amp.max() > 1.0  # the run went through saturation
+    assert diag.conserved_drift < 1e-13
+
+
+@pytest.mark.parametrize(("record_stride", "rows"), [(1, 24), (5, 6)])
+def test_each_step_evaluates_the_phases_three_times(monkeypatch, record_stride, rows):
+    # the initial state's phases, then 3 per step; a recorded bunching adds none
+    calls = []
+    phase_factors = dynamics._phase_factors
+
+    def counting(theta):
+        calls.append(theta)
+        return phase_factors(theta)
+
+    monkeypatch.setattr(dynamics, "_phase_factors", counting)
+    cfg = small_config(n_particles=64, tau_end=0.23, record_stride=record_stride)
+    traj, _ = run(cfg)
+    assert len(traj) == rows
+    assert len(calls) == 3 * cfg.n_steps + 1
 
 
 # --- pairwise reduction ---------------------------------------------------------
