@@ -42,14 +42,10 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 
 import numpy as np
-
-from .rotor import RigidRotor
-from .scaling import GainCoefficients, from_dimensionless
 
 #: Phase perturbation amplitude of the quiet start.
 QUIET_START_PERTURBATION = 1e-6
@@ -409,48 +405,12 @@ def polar_equivalence(config: SimConfig) -> float:
     return max_dev
 
 
-# --- physical readout --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PhysicalReadout:
-    """Scaled state mapped back to physical units.
-
-    A0 [V·s/m] and t [s] are the field amplitude and elapsed time;
-    theta_dot [rad/s] the phase frequencies; L [J·s] the angular momenta
-    (n/6)·I_ave·(omega_c + theta_dot); validity_ratio = max|theta_dot|/omega_c
-    must stay well below 1 for the slow-phase approximation to hold.
-    """
-
-    A0: float
-    t: float
-    theta_dot: np.ndarray
-    L: np.ndarray
-    validity_ratio: float
-
-
-#: Threshold on max|theta_dot|/omega_c beyond which the model assumptions fail.
-VALIDITY_RATIO_LIMIT = 1e-2
+# --- validity ------------------------------------------------------------------
 
 
 def validity_ratio(p_max_abs: float, t_gain: float, omega_c: float) -> float:
-    """max|theta_dot|/omega_c from the largest scaled momentum |p| = |theta_dot|·t_gain."""
+    """max|theta_dot|/omega_c from the largest scaled momentum |p| = |theta_dot|·t_gain.
+
+    It must stay well below 1 for the slow-phase approximation to hold.
+    """
     return p_max_abs / (t_gain * omega_c)
-
-
-def physical_readout(
-    state: EnsembleState, coeffs: GainCoefficients, rotor: RigidRotor, n: int
-) -> PhysicalReadout:
-    """Convert a scaled state back to SI quantities and check validity."""
-    A0, t = from_dimensionless(state.amp, state.tau, coeffs)
-    theta_dot = state.p / coeffs.t_gain
-    L = (n / 6.0) * rotor.I_ave * (rotor.omega_c + theta_dot)
-    p_max_abs = float(np.max(np.abs(state.p))) if state.p.size else 0.0
-    ratio = validity_ratio(p_max_abs, coeffs.t_gain, rotor.omega_c)
-    if ratio > VALIDITY_RATIO_LIMIT:
-        warnings.warn(
-            f"slow-phase approximation violated: max|theta_dot|/omega_c = {ratio:.3e}",
-            UserWarning,
-            stacklevel=2,
-        )
-    return PhysicalReadout(A0=A0, t=t, theta_dot=theta_dot, L=L, validity_ratio=ratio)

@@ -45,15 +45,6 @@ class RigidRotor:
 
 
 @dataclass(frozen=True)
-class ThermalPopulation:
-    """Boltzmann population ratios R_l relative to l=0 at one temperature."""
-
-    temperature: float
-    ratios: tuple[float, ...]
-    delta_n_thermal: float
-
-
-@dataclass(frozen=True)
 class ThermalInversion:
     """Thermal ground/excited population difference for one solvation shell.
 
@@ -112,17 +103,6 @@ def population_ratio(rotor: RigidRotor, l: int, temperature: float) -> float:
         raise ValueError("temperature must be positive")
     E_l = rotational_level_energy(rotor, l)
     return math.exp(-E_l / (rotor.constants.k_B * temperature))
-
-
-def thermal_population(
-    rotor: RigidRotor, n: int, temperature: float, l_max: int = 5
-) -> ThermalPopulation:
-    """Ratio table R_0..R_lmax plus the thermal inversion for n molecules."""
-    ratios = tuple(population_ratio(rotor, l, temperature) for l in range(l_max + 1))
-    inv = thermal_inversion(rotor, n, temperature)
-    return ThermalPopulation(
-        temperature=temperature, ratios=ratios, delta_n_thermal=inv.delta_n_bar
-    )
 
 
 def thermal_inversion(rotor: RigidRotor, n: int, temperature: float) -> ThermalInversion:

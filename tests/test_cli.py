@@ -249,10 +249,20 @@ def test_missing_config_exit_code(tmp_path):
 
 def test_mechanism_off_exit_code(tmp_path, capsys):
     config = cfg_file(tmp_path, "rho = 1.3e17\nP_z = 0\nparticles = 64\n")
-    with pytest.warns(UserWarning):
-        code = main(["simulate", "--config", config, "--out", str(tmp_path / "o")])
+    code = main(["simulate", "--config", config, "--out", str(tmp_path / "o")])
     assert code == EXIT_MECHANISM_OFF
     assert "gain time infinite" in capsys.readouterr().err
+
+
+def test_mechanism_off_stderr_is_one_line(tmp_path):
+    # a fresh process: nothing but the exit-4 message may reach stderr
+    config = cfg_file(tmp_path, "rho = 1.3e17\nP_z = 0\nparticles = 64\n")
+    proc = run_cli(["derive", "--config", config])
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    proc = run_cli(["simulate", "--config", config, "--out", str(tmp_path / "o")])
+    assert proc.returncode == EXIT_MECHANISM_OFF
+    assert proc.stderr == "mechanism off: P_z = 0, gain time infinite\n"
+    assert (tmp_path / "o" / "summary.json").exists()
 
 
 def test_mechanism_off_names_zero_shell_inversion(tmp_path, capsys):
@@ -288,6 +298,16 @@ def test_sweep_subcommand(tmp_path, capsys):
     lines = (out_dir / "sweep.csv").read_text().splitlines()
     assert lines[0] == "rho,P_z,A_sat,t_gain"
     assert len(lines) == 3
+
+
+def test_sweep_without_shell_inversion_exits_mechanism_off(tmp_path, capsys):
+    out_dir = tmp_path / "sw"
+    assert main(["sweep", "--rhos", "1e17,2e17", "--pzs", "1e-7", "--delta-w", "0",
+                 "--out", str(out_dir)]) == EXIT_MECHANISM_OFF
+    # the CSV is still written, one row per grid point
+    assert len((out_dir / "sweep.csv").read_text().splitlines()) == 3
+    assert capsys.readouterr().err == (
+        "mechanism off: zero shell inversion (delta_w = 0), gain time infinite\n")
 
 
 def test_sweep_rejects_bad_grid(tmp_path):

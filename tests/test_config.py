@@ -2,7 +2,6 @@
 
 import json
 import math
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -186,9 +185,7 @@ def test_float_keys_end_in_config_error_or_valid_json(entries):
     # the resolved echo inverts the parse over the whole key domain
     assert config_from_entries(parse_config_text(dump_config(cfg)))[0] == cfg
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            summary = derive_chain(cfg, defaulted)
+        summary = derive_chain(cfg, defaulted)
     except ConfigError:
         return
     json.dumps(summary, allow_nan=False)

@@ -11,7 +11,6 @@ from aquafel.rotor import (
     population_ratio,
     rotational_level_energy,
     thermal_inversion,
-    thermal_population,
 )
 
 ROOM_T = 300.0
@@ -77,13 +76,6 @@ def test_bad_inputs_rejected(rotor):
 def test_population_ratio_table(rotor):
     for l, expected in enumerate(RATIO_TABLE):
         assert population_ratio(rotor, l, ROOM_T) == pytest.approx(expected, abs=0.01)
-
-
-def test_thermal_population_bundle(rotor):
-    pop = thermal_population(rotor, n=30, temperature=ROOM_T, l_max=5)
-    assert pop.ratios[0] == 1.0
-    assert all(a > b for a, b in zip(pop.ratios, pop.ratios[1:]))
-    assert 0.0 <= pop.delta_n_thermal <= 15.0
 
 
 def test_thermal_inversion_room_temperature(rotor):
