@@ -174,15 +174,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rhos = _parse_grid(args.rhos, "rhos")
     pzs = _parse_grid(args.pzs, "pzs")
     try:
-        rows = sweep(rhos, pzs, n=args.n_waters, delta_w=args.delta_w)
+        grid = sweep(rhos, pzs, n=args.n_waters, delta_w=args.delta_w)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "sweep.csv"
-    write_sweep_csv(rows, path)
-    print(f"sweep: {path} ({len(rows)} rows)")
-    off = next((r.P_z for r in rows if r.A_sat == 0.0), None)
-    return EXIT_OK if off is None else _mechanism_off(off)
+    write_sweep_csv(grid, path)
+    print(f"sweep: {path} ({grid.A_sat.size} rows)")
+    # the mechanism is off in whole P_z columns; the first is the first point
+    off = grid.P_z[(grid.A_sat == 0.0).any(axis=0)].tolist()
+    return _mechanism_off(off[0]) if off else EXIT_OK
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:

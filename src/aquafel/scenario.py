@@ -32,14 +32,13 @@ from .dynamics import Diagnostics, SimConfig, Trajectory, run, validity_ratio
 from .mixing import DELTA_W_LIMIT_CYCLE, polarization_result, solvation_inversion
 from .quadrature import GAUSS_LEGENDRE_ORDER, TRAPEZOID_ORDER
 from .rotor import build_rotor, thermal_inversion
-from .scaling import SystemParams, gain_coefficients
+from .scaling import SystemParams, gain_coefficients, gain_grid
 
 #: Trajectory CSV columns, in the field order of Trajectory.
 CSV_HEADER = "tau,A0_scaled,phi,bunch_re,bunch_im,p_mean,conserved"
 #: One trajectory CSV row: the same text as f"{v:.16e}" for every value.
 CSV_ROW = ",".join(["%.16e"] * len(CSV_HEADER.split(","))) + "\n"
 SWEEP_HEADER = "rho,P_z,A_sat,t_gain"
-SWEEP_ROW = ",".join(["%.16e"] * len(SWEEP_HEADER.split(","))) + "\n"
 
 
 @dataclass(frozen=True)
@@ -277,41 +276,41 @@ def slippage_check(l_b: float, l_g: float, v: float) -> SlippageDiagnostic:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    rho: float
-    P_z: float
-    A_sat: float
-    t_gain: float
+class SweepGrid:
+    """Read-only axes rho, P_z and scales A_sat[i, j], t_gain[i, j] at
+    (rho[i], P_z[j]): row-major order is rho-major grid order."""
+
+    rho: np.ndarray
+    P_z: np.ndarray
+    A_sat: np.ndarray
+    t_gain: np.ndarray
 
 
-def sweep(
-    rho_values,
-    pz_values,
-    n: int = 30,
-    delta_w: float | None = None,
-    workers: int = 1,
-) -> list[SweepRow]:
-    """Saturation scales over a rho x P_z grid, in rho-major grid order.
+def sweep(rho_values, pz_values, n: int = 30, delta_w: float | None = None,
+          workers: int = 1) -> SweepGrid:
+    """Saturation scales over a rho x P_z grid, as gain_grid gives them.
 
-    workers is accepted for compatibility and ignored: each point is a closed
-    form evaluated serially, so results never depend on it.
+    workers is accepted for compatibility and ignored: the grid is one
+    serial evaluation over arrays, so results never depend on it.
     """
     if delta_w is None:
         delta_w = DELTA_W_LIMIT_CYCLE
-    rotor = build_rotor(CODATA2018)
-    dn_bar = solvation_inversion(n, delta_w)
-
-    def one(rho: float, pz: float) -> SweepRow:
-        params = SystemParams(
-            n=n, delta_n_bar=dn_bar, rho=rho, P_z=pz, rotor=rotor, mu=CODATA2018.mu0
-        )
-        coeffs = gain_coefficients(params)
-        return SweepRow(rho=rho, P_z=pz, A_sat=coeffs.A_sat, t_gain=coeffs.t_gain)
-
-    return [one(rho, pz) for rho in rho_values for pz in pz_values]
+    rho, P_z = np.array(rho_values, dtype=float), np.array(pz_values, dtype=float)
+    _, _, A_sat, t_gain, _, _ = gain_grid(n, solvation_inversion(n, delta_w), rho, P_z,
+                                          build_rotor(CODATA2018), CODATA2018.mu0)
+    grid = SweepGrid(rho, P_z, A_sat, t_gain)
+    for f in fields(SweepGrid):
+        getattr(grid, f.name).flags.writeable = False
+    return grid
 
 
-def write_sweep_csv(rows: list[SweepRow], path: Path) -> None:
+def write_sweep_csv(grid: SweepGrid, path: Path) -> None:
+    """One row per point in rho-major order, each value as f"{v:.16e}", written one
+    rho row of the grid at a time; each rho and P_z is formatted once."""
+    pz_text = [f"{v:.16e}" for v in grid.P_z.tolist()]
     with Path(path).open("w") as fh:
         fh.write(SWEEP_HEADER + "\n")
-        fh.writelines(SWEEP_ROW % (r.rho, r.P_z, r.A_sat, r.t_gain) for r in rows)
+        for rho, A_row, t_row in zip(grid.rho.tolist(), grid.A_sat, grid.t_gain):
+            head = f"{rho:.16e},"
+            fh.write("".join([f"{head}{pz},{a:.16e},{t:.16e}\n"
+                              for pz, a, t in zip(pz_text, A_row.tolist(), t_row.tolist())]))

@@ -148,6 +148,9 @@ HOSTILE_INPUTS = {
                                        "--n-waters", "1" + "0" * 400], "molecule count n"),
     "sweep-delta-w-nan": (None, ["sweep", "--rhos", "1e17", "--pzs", "1e-7",
                                  "--delta-w", "nan"], "delta_w"),
+    # the shell inversion, not rho or P_z, takes the scales out of range
+    "sweep-delta-w-subnormal": (None, ["sweep", "--rhos", "1e17", "--pzs", "1e-7",
+                                       "--delta-w", "5e-324"], "delta_n_bar"),
     "slippage-nan-length": (None, ["slippage", "--bunch-length", "nan", "--gain-length",
                                    "1", "--velocity", "150"], "lengths"),
     "slippage-ratio-overflow": (None, ["slippage", "--bunch-length", "1e-300",
