@@ -106,7 +106,7 @@ class ScenarioConfig:
                               "ion concentration")
 
 
-def _parse_float(key: str, raw: str) -> float:
+def parse_float(key: str, raw: str) -> float:
     try:
         value = float(raw)
     except ValueError:
@@ -151,7 +151,7 @@ def config_from_entries(entries: dict[str, str]) -> tuple[ScenarioConfig, list[s
     for key, raw in entries.items():
         if key not in KNOWN_KEYS:
             raise ConfigError(f"unknown key '{key}'")
-        parse = _parse_int if key in INT_KEYS else _parse_float
+        parse = _parse_int if key in INT_KEYS else parse_float
         values[key] = raw if key == "init_mode" else parse(key, raw)
     try:
         sim = SimConfig(**{SIM_FIELDS[k]: v for k, v in values.items() if k in SIM_FIELDS})

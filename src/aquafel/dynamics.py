@@ -34,8 +34,7 @@ kick of the next share e^{i·theta}, which each EnsembleState keeps with b
 bunching factor is the cached b, at no extra exp(i·theta).
 
 Classical RK4 (_rk4) remains for one purpose: polar_equivalence advances
-the complex and polar forms with it in lockstep. One stepping loop
-(_steps) drives run.
+the complex and polar forms with it in lockstep.
 """
 
 from __future__ import annotations
@@ -227,23 +226,19 @@ def derivative(state: EnsembleState) -> tuple[np.ndarray, np.ndarray, complex]:
 
 
 def _derivative_arrays(theta, p, field):
-    eith = np.exp(1j * theta)
-    dp = -2.0 * (field * np.conj(eith)).real
-    dfield = complex(pairwise_mean(eith))
-    return p, dp, dfield
+    eith, b = _phase_factors(theta)
+    return p, -2.0 * (field * np.conj(eith)).real, b
 
 
 def _phase_factors(theta: np.ndarray) -> tuple[np.ndarray, complex]:
-    """(e^{i·theta}, <e^{i·theta}>): the one phase evaluation of the integrator."""
+    """(e^{i·theta}, <e^{i·theta}>): the module's one phase evaluation."""
     eith = np.exp(1j * theta)
     return eith, complex(pairwise_mean(eith))
 
 
-def _rk4(deriv, y: tuple, k1: tuple, dt: float) -> tuple:
-    """One classical RK4 step of dy/dtau = deriv(*y) over a tuple of arrays and scalars.
-
-    k1 is deriv(*y), which the caller may already hold.
-    """
+def _rk4(deriv, y: tuple, dt: float) -> tuple:
+    """One classical RK4 step of dy/dtau = deriv(*y) over a tuple of arrays and scalars."""
+    k1 = deriv(*y)
     k2 = deriv(*(a + 0.5 * dt * k for a, k in zip(y, k1)))
     k3 = deriv(*(a + 0.5 * dt * k for a, k in zip(y, k2)))
     k4 = deriv(*(a + dt * k for a, k in zip(y, k3)))
@@ -294,16 +289,6 @@ def step(state: EnsembleState, dt: float) -> EnsembleState:
     return out
 
 
-def _steps(config: SimConfig):
-    """(i, state) for i = 0..n_steps: the initial state, then one step() each."""
-    state = init_ensemble(config)
-    yield 0, state
-    for i in range(1, config.n_steps + 1):
-        state = step(state, config.dt)
-        state.tau = i * config.dt
-        yield i, state
-
-
 def run(config: SimConfig) -> tuple[Trajectory, Diagnostics]:
     """Integrate to tau_end, recording every record_stride steps and the last.
 
@@ -311,7 +296,11 @@ def run(config: SimConfig) -> tuple[Trajectory, Diagnostics]:
     """
     rows = []
     p_max_abs = 0.0
-    for i, s in _steps(config):
+    s = init_ensemble(config)
+    for i in range(config.n_steps + 1):
+        if i > 0:
+            s = step(s, config.dt)
+            s.tau = i * config.dt
         if i % config.record_stride == 0 or i == config.n_steps:
             b = s.bunching()
             pm = s.p_mean()
@@ -396,9 +385,9 @@ def polar_equivalence(config: SimConfig) -> float:
     max_dev = 0.0
     for i in range(config.n_steps):
         with np.errstate(over="ignore", invalid="ignore"):
-            cplx = _rk4(_derivative_arrays, cplx, _derivative_arrays(*cplx), config.dt)
+            cplx = _rk4(_derivative_arrays, cplx, config.dt)
         _require_finite(*cplx, i * config.dt)
-        polar = _rk4(polar_derivative, polar, polar_derivative(*polar), config.dt)
+        polar = _rk4(polar_derivative, polar, config.dt)
         dev = abs(polar[2] * np.exp(-1j * polar[3]) - cplx[2])
         if dev > max_dev:
             max_dev = float(dev)

@@ -41,7 +41,7 @@ def _rho_ok(rho):  # element-wise on arrays, as _pz_ok
 
 
 def _pz_ok(P_z):
-    return (0.0 <= P_z) & (P_z <= P_Z_MAX + 1e-15)
+    return (0.0 <= P_z) & (P_z <= P_Z_MAX)
 
 
 @dataclass(frozen=True)

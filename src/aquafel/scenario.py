@@ -277,7 +277,7 @@ def slippage_check(l_b: float, l_g: float, v: float) -> SlippageDiagnostic:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Read-only axes rho, P_z and scales A_sat[i, j], t_gain[i, j] at
+    """Axes rho, P_z and scales A_sat[i, j], t_gain[i, j] at
     (rho[i], P_z[j]): row-major order is rho-major grid order."""
 
     rho: np.ndarray
@@ -298,10 +298,7 @@ def sweep(rho_values, pz_values, n: int = 30, delta_w: float | None = None,
     rho, P_z = np.array(rho_values, dtype=float), np.array(pz_values, dtype=float)
     _, _, A_sat, t_gain, _, _ = gain_grid(n, solvation_inversion(n, delta_w), rho, P_z,
                                           build_rotor(CODATA2018), CODATA2018.mu0)
-    grid = SweepGrid(rho, P_z, A_sat, t_gain)
-    for f in fields(SweepGrid):
-        getattr(grid, f.name).flags.writeable = False
-    return grid
+    return SweepGrid(rho, P_z, A_sat, t_gain)
 
 
 def write_sweep_csv(grid: SweepGrid, path: Path) -> None:

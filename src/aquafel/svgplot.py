@@ -26,8 +26,6 @@ def _fmt(x: float) -> str:
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     # k / (count - 1) first, so a span near the largest double does not overflow
     return [lo + (hi - lo) * (k / (count - 1)) for k in range(count)]
 

@@ -144,6 +144,13 @@ HOSTILE_INPUTS = {
     "sweep-rhos-overflow": (None, ["sweep", "--rhos", "1e300", "--pzs", "1e-7"],
                             "rho = 1e+300"),
     "sweep-pzs-above-ceiling": (None, ["sweep", "--rhos", "1e17", "--pzs", "0.5"], "P_z"),
+    # one ulp above P_Z_MAX: the ceiling is the same as for simulate
+    "sweep-pzs-one-ulp-above-ceiling": (None, ["sweep", "--rhos", "1e17", "--pzs",
+                                               "0.1924500897298753"], "P_z"),
+    "sweep-rhos-empty-token": (None, ["sweep", "--rhos", "1e17,,2e17", "--pzs", "1e-7"],
+                               "'--rhos': not a number"),
+    "sweep-pzs-only-empty-tokens": (None, ["sweep", "--rhos", "1e17", "--pzs", ","],
+                                    "'--pzs': not a number"),
     "sweep-n-waters-overflow": (None, ["sweep", "--rhos", "1e17", "--pzs", "1e-7",
                                        "--n-waters", "1" + "0" * 400], "molecule count n"),
     "sweep-delta-w-nan": (None, ["sweep", "--rhos", "1e17", "--pzs", "1e-7",
@@ -311,6 +318,14 @@ def test_sweep_without_shell_inversion_exits_mechanism_off(tmp_path, capsys):
     assert len((out_dir / "sweep.csv").read_text().splitlines()) == 3
     assert capsys.readouterr().err == (
         "mechanism off: zero shell inversion (delta_w = 0), gain time infinite\n")
+
+
+def test_sweep_with_a_zero_pz_column_writes_it_and_exits_mechanism_off(tmp_path):
+    out_dir = tmp_path / "sw"
+    proc = run_cli(["sweep", "--rhos", "1e17", "--pzs", "0,1e-7", "--out", str(out_dir)])
+    assert proc.returncode == EXIT_MECHANISM_OFF
+    assert proc.stderr == "mechanism off: P_z = 0, gain time infinite\n"
+    assert len((out_dir / "sweep.csv").read_text().splitlines()) == 3
 
 
 def test_sweep_rejects_bad_grid(tmp_path):

@@ -1,5 +1,6 @@
 """Integrator correctness: initialization, conservation, order, growth."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -350,7 +351,7 @@ def rk4_fields(cfg):
     y = (start.theta, start.p, start.field)
     fields = [y[2]]
     for _ in range(cfg.n_steps):
-        y = _rk4(deriv, y, deriv(*y), cfg.dt)
+        y = _rk4(deriv, y, cfg.dt)
         fields.append(y[2])
     return np.array(fields)
 
@@ -388,6 +389,36 @@ def test_each_step_evaluates_the_phases_three_times(monkeypatch, record_stride, 
     traj, _ = run(cfg)
     assert len(traj) == rows
     assert len(calls) == 3 * cfg.n_steps + 1
+
+
+def test_run_reaches_the_step_and_bunching_hooks(monkeypatch):
+    # the benchmark's traced mode counts steps and records through these two names
+    calls = {"step": 0, "bunching": 0}
+    step_fn, bunching_fn = dynamics.step, EnsembleState.bunching
+
+    def counting_step(state, dt):
+        calls["step"] += 1
+        return step_fn(state, dt)
+
+    def counting_bunching(state):
+        calls["bunching"] += 1
+        return bunching_fn(state)
+
+    monkeypatch.setattr(dynamics, "step", counting_step)
+    monkeypatch.setattr(EnsembleState, "bunching", counting_bunching)
+    cfg = small_config(n_particles=64, tau_end=0.23, record_stride=5)
+    traj, _ = run(cfg)
+    assert calls == {"step": cfg.n_steps, "bunching": len(traj)}
+
+
+def test_cold_beam_first_peak_is_universal(saturating_run):
+    # far tighter than criterion 10's [0.7, 1.6]: the first peak of a quiet
+    # start does not depend on N, the seed or dt at this resolution
+    cfg, _, diag = saturating_run
+    _, other = run(dataclasses.replace(cfg, n_particles=1024, rng_seed=99))
+    for d in (diag, other):
+        assert abs(d.sat_peak - 1.1713253) <= 2e-6
+        assert d.sat_tau == 12.96
 
 
 # --- pairwise reduction ---------------------------------------------------------
