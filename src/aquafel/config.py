@@ -19,7 +19,6 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dynamics import SimConfig
 from .mixing import DELTA_W_LIMIT_CYCLE, E0Z_MAX, linearized_polarization
 from .scaling import P_Z_MAX
 
@@ -43,8 +42,54 @@ _CLOSED_RANGES = {"n_waters": (1, sys.float_info.max), "E0z": (0.0, E0Z_MAX),
                   "P_z": (0.0, P_Z_MAX), "delta_w": (0.0, 1.0)}
 
 
+INIT_MODES = ("quiet-start", "uniform-random")
+#: Largest particle count and step count a SimConfig accepts.
+MAX_PARTICLES = 2**24
+MAX_STEPS = 10**7
+
+
 class ConfigError(ValueError):
     """Invalid, missing or conflicting configuration input."""
+
+
+class NumericalBlowupError(RuntimeError):
+    """State became non-finite during integration."""
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Integrator settings, all in scaled units."""
+
+    n_particles: int = 16384
+    dt: float = 0.01
+    tau_end: float = 30.0
+    seed_amp: float = 1e-4
+    init_mode: str = "quiet-start"
+    rng_seed: int = 12345
+    record_stride: int = 10
+
+    def __post_init__(self) -> None:
+        if not 2 <= self.n_particles <= MAX_PARTICLES:
+            raise ValueError(f"n_particles must lie in [2, {MAX_PARTICLES}], got {self.n_particles}")
+        for name in ("dt", "tau_end", "seed_amp"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        if not (self.tau_end / self.dt < math.inf and self.n_steps <= MAX_STEPS):
+            raise ValueError(f"tau_end / dt = {self.tau_end / self.dt:.3g} exceeds the "
+                             f"ceiling of {MAX_STEPS} steps")
+        if abs(self.n_steps * self.dt - self.tau_end) > 1e-9 * self.tau_end:
+            raise ValueError(f"tau_end = {self.tau_end!r} must be a whole number of dt steps")
+        if self.init_mode not in INIT_MODES:
+            raise ValueError(f"init_mode must be one of {INIT_MODES}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        if self.record_stride < 1:
+            raise ValueError("record_stride must be >= 1")
+
+    @property
+    def n_steps(self) -> int:
+        """Integrator steps from 0 to tau_end."""
+        return round(self.tau_end / self.dt)
 
 
 @dataclass

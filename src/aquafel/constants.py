@@ -4,6 +4,8 @@ Values are the CODATA 2018 recommended values
 (https://physics.nist.gov/cuu/Constants/). h, c, k_B and e are exact by
 the 2019 SI redefinition; m_p and mu0 carry the 2018 experimental digits.
 All derived quantities in this package trace back to this single table.
+The node counts of the matrix-element quadrature sit here too, so that a
+summary can echo them without importing the quadrature (or numpy).
 """
 
 from __future__ import annotations
@@ -47,3 +49,8 @@ class PhysicalConstants:
 
 #: Frozen CODATA 2018 table; the default constants source everywhere.
 CODATA2018 = PhysicalConstants()
+
+#: Gauss-Legendre node count in cos(theta) of quadrature.py; exact for x-degree <= 31.
+GAUSS_LEGENDRE_ORDER = 16
+#: Uniform azimuthal node count of quadrature.py; exact for harmonics e^{ik phi}, |k| < 64.
+TRAPEZOID_ORDER = 64

@@ -46,19 +46,12 @@ from dataclasses import field as dataclass_field
 
 import numpy as np
 
+from .config import NumericalBlowupError, SimConfig
+
 #: Phase perturbation amplitude of the quiet start.
 QUIET_START_PERTURBATION = 1e-6
 #: Below this amplitude the polar form's 1/amp terms are unreliable.
 POLAR_AMP_FLOOR = 1e-9
-
-INIT_MODES = ("quiet-start", "uniform-random")
-#: Largest particle count and step count a SimConfig accepts.
-MAX_PARTICLES = 2**24
-MAX_STEPS = 10**7
-
-
-class NumericalBlowupError(RuntimeError):
-    """State became non-finite during integration."""
 
 
 class PolarSingularityError(RuntimeError):
@@ -81,42 +74,6 @@ def pairwise_sum(values: np.ndarray):
 
 def pairwise_mean(values: np.ndarray):
     return pairwise_sum(values) / values.shape[0]
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Integrator settings, all in scaled units."""
-
-    n_particles: int = 16384
-    dt: float = 0.01
-    tau_end: float = 30.0
-    seed_amp: float = 1e-4
-    init_mode: str = "quiet-start"
-    rng_seed: int = 12345
-    record_stride: int = 10
-
-    def __post_init__(self) -> None:
-        if not 2 <= self.n_particles <= MAX_PARTICLES:
-            raise ValueError(f"n_particles must lie in [2, {MAX_PARTICLES}], got {self.n_particles}")
-        for name in ("dt", "tau_end", "seed_amp"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
-        if not (self.tau_end / self.dt < math.inf and self.n_steps <= MAX_STEPS):
-            raise ValueError(f"tau_end / dt = {self.tau_end / self.dt:.3g} exceeds the "
-                             f"ceiling of {MAX_STEPS} steps")
-        if abs(self.n_steps * self.dt - self.tau_end) > 1e-9 * self.tau_end:
-            raise ValueError(f"tau_end = {self.tau_end!r} must be a whole number of dt steps")
-        if self.init_mode not in INIT_MODES:
-            raise ValueError(f"init_mode must be one of {INIT_MODES}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
-
-    @property
-    def n_steps(self) -> int:
-        """Integrator steps from 0 to tau_end."""
-        return round(self.tau_end / self.dt)
 
 
 @dataclass
@@ -232,7 +189,8 @@ def _derivative_arrays(theta, p, field):
 
 def _phase_factors(theta: np.ndarray) -> tuple[np.ndarray, complex]:
     """(e^{i·theta}, <e^{i·theta}>): the module's one phase evaluation."""
-    eith = np.exp(1j * theta)
+    eith = 1j * theta
+    np.exp(eith, out=eith)
     return eith, complex(pairwise_mean(eith))
 
 
@@ -256,13 +214,18 @@ _DRIFTS = (_W1, _W0, _W1)
 _KICKS = (0.5 * _W1, 0.5 * (_W1 + _W0), 0.5 * (_W0 + _W1), 0.5 * _W1)
 
 
-def _kick(eith: np.ndarray, b: complex, p: np.ndarray, field: complex, h: float):
-    """Exact flow over h with the phases frozen: the field moves by h·b and the
-    momenta take the force of the field's mean over h (formed before scaling by
-    h, so a field near the largest double overflows as in _derivative_arrays)."""
+def _kick(eith: np.ndarray, b: complex, p: np.ndarray, field: complex, h: float,
+          prod: np.ndarray) -> complex:
+    """Exact flow over h with the phases frozen: the momenta take, in place, h times
+    the force of the field's mean over h (formed before scaling by h, so a field
+    near the largest double overflows as in _derivative_arrays); returns the field
+    moved by h·b. prod is scratch for the complex product."""
     # Re(conj(c)·e^{i·theta}) equals Re(c·e^{-i·theta}) bit for bit and conjugates no array
-    force = -2.0 * ((field + (0.5 * h) * b).conjugate() * eith).real
-    return p + h * force, field + h * b
+    np.multiply((field + (0.5 * h) * b).conjugate(), eith, out=prod)
+    force = -2.0 * prod.real
+    force *= h
+    p += force
+    return field + h * b
 
 
 def _require_finite(theta, p, field: complex, tau: float) -> None:
@@ -274,14 +237,16 @@ def step(state: EnsembleState, dt: float) -> EnsembleState:
     """One fourth-order symplectic step; raises NumericalBlowupError on non-finite state."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    theta, p, field = state.theta, state.p, state.field
+    # one copy of each array per step, updated in place: the input state is left as it is
+    theta, p, field = state.theta.copy(), state.p.copy(), state.field
     with np.errstate(over="ignore", invalid="ignore"):
         eith, b = state.phases()
+        prod = np.empty_like(eith)
         for kick, drift in zip(_KICKS, _DRIFTS):
-            p, field = _kick(eith, b, p, field, kick * dt)
-            theta = theta + (drift * dt) * p
+            field = _kick(eith, b, p, field, kick * dt, prod)
+            theta += (drift * dt) * p
             eith, b = _phase_factors(theta)
-        p, field = _kick(eith, b, p, field, _KICKS[-1] * dt)
+        field = _kick(eith, b, p, field, _KICKS[-1] * dt, prod)
     _require_finite(theta, p, field, state.tau)
     # the caller assigns tau from the step index
     out = EnsembleState(theta=theta, p=p, field_re=field.real, field_im=field.imag, tau=state.tau)
@@ -393,13 +358,3 @@ def polar_equivalence(config: SimConfig) -> float:
             max_dev = float(dev)
     return max_dev
 
-
-# --- validity ------------------------------------------------------------------
-
-
-def validity_ratio(p_max_abs: float, t_gain: float, omega_c: float) -> float:
-    """max|theta_dot|/omega_c from the largest scaled momentum |p| = |theta_dot|·t_gain.
-
-    It must stay well below 1 for the slow-phase approximation to hold.
-    """
-    return p_max_abs / (t_gain * omega_c)

@@ -1,4 +1,4 @@
-"""Static-field mixing of rotational states and permanent polarization.
+"""Static-field mixing of rotational states: polarization and shell inversion.
 
 A static field along z perturbs the |0,0> and |1,0> rotational states
 into the pair
@@ -7,24 +7,20 @@ into the pair
     |mix1> = -sin(a)|0,0> + cos(a)|1,0>
 
 which carries a time-independent (permanent) dipole expectation along z,
-P_z = sin(2a)/(3*sqrt(3)). permanent_polarization evaluates it from the
-quadrature matrix element; verify.py compares it with that closed form.
-The transverse components P_x, P_y vanish by construction. For weak
-fields P_z is linear in the field with slope C_P = 4.9e-9 m/V, a
-published limit-cycle result adopted here as a fixed coefficient (valid
-up to ~1e7 V/m); the same applies to the stationary level-weight
-difference DELTA_W_LIMIT_CYCLE = 0.62.
+P_z = sin(2a)/(3*sqrt(3)). The transverse components P_x, P_y vanish by
+construction. The route from these states to P_z through the quadrature
+matrix element is quadrature.permanent_polarization; verify.py compares
+it with that closed form. For weak fields P_z is linear in the field
+with slope C_P = 4.9e-9 m/V, a published limit-cycle result adopted here
+as a fixed coefficient (valid up to ~1e7 V/m); the same applies to the
+stationary level-weight difference DELTA_W_LIMIT_CYCLE = 0.62. This
+module is plain float arithmetic and imports no numpy.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
-
-from .quadrature import dipole_matrix_element
 
 #: Linear response slope of P_z to the static field [m/V].
 C_P = 4.9e-9
@@ -32,20 +28,6 @@ C_P = 4.9e-9
 E0Z_MAX = 1.0e7
 #: Stationary (limit-cycle) weight difference w_minus - w_plus.
 DELTA_W_LIMIT_CYCLE = 0.62
-
-# <1,0| cos(theta) |0,0> computed once by the quadrature oracle (= 1/sqrt(3)).
-_Z_MATRIX_ELEMENT = dipole_matrix_element(1, 0, 0, 0, axis=3).real
-
-_WEIGHT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class MixedStates:
-    """Field-mixed rotational eigenstates over the (|0,0>, |1,0>) basis."""
-
-    alpha: float
-    amp_0: np.ndarray
-    amp_1: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -66,40 +48,6 @@ class PolarizationResult:
     def vector(self) -> tuple[float, float, float]:
         """(P_x, P_y, P_z); the transverse components vanish identically."""
         return (0.0, 0.0, self.P_z)
-
-
-def mixed_states(alpha: float) -> MixedStates:
-    """Rotate the (|0,0>, |1,0>) pair by the mixing angle alpha [rad]."""
-    c, s = math.cos(alpha), math.sin(alpha)
-    return MixedStates(
-        alpha=alpha,
-        amp_0=np.array([c, s], dtype=complex),
-        amp_1=np.array([-s, c], dtype=complex),
-    )
-
-
-def permanent_polarization(alpha: float, w_plus: float, w_minus: float) -> float:
-    """Permanent z-polarization of the mixed stationary state.
-
-    Evaluates the weighted expectation
-
-        P_z = (w_minus + 3 w_plus)/2 · <mix0|n_z|mix0>
-            + (w_minus + 3 w_plus)/6 · <mix1|n_z|mix1>
-
-    with the quadrature value of <1,0|n_z|0,0>. The weights must satisfy
-    w_minus + 3·w_plus = 1, and given that constraint the result is
-    weight-independent: sin(2·alpha)/(3·sqrt(3)).
-    """
-    norm = w_minus + 3.0 * w_plus
-    if abs(norm - 1.0) > _WEIGHT_TOL:
-        raise ValueError(
-            f"level weights must satisfy w_minus + 3*w_plus = 1, got {norm!r}"
-        )
-    states = mixed_states(alpha)
-    n_z = np.array([[0.0, _Z_MATRIX_ELEMENT], [_Z_MATRIX_ELEMENT, 0.0]], dtype=complex)
-    exp0 = float(np.real(np.vdot(states.amp_0, n_z @ states.amp_0)))
-    exp1 = float(np.real(np.vdot(states.amp_1, n_z @ states.amp_1)))
-    return (norm / 2.0) * exp0 + (norm / 6.0) * exp1
 
 
 def linearized_polarization(E0z: float) -> float:

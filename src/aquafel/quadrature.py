@@ -14,18 +14,23 @@ the result is correct to rounding, far below the 1e-9 contract.
 
 Spherical harmonics use the Condon-Shortley phase convention
 (Y_{1,1} = -sqrt(3/8pi)·sin(theta)·e^{i phi}).
+
+permanent_polarization is the quadrature route to the permanent
+polarization of the field-mixed pair (mixing.py has the physics): it
+builds P_z from the states and the quadrature value of <1,0|n_z|0,0>,
+and verify.py compares it with its closed form.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-#: Gauss-Legendre node count in cos(theta); exact for x-degree <= 31.
-GAUSS_LEGENDRE_ORDER = 16
-#: Uniform azimuthal node count; exact for harmonics e^{ik phi}, |k| < 64.
-TRAPEZOID_ORDER = 64
+from .constants import GAUSS_LEGENDRE_ORDER, TRAPEZOID_ORDER
+
+_WEIGHT_TOL = 1e-12
 
 
 def spherical_harmonic(l: int, m: int, theta, phi):
@@ -103,3 +108,50 @@ def dipole_matrix_element(l1: int, m1: int, l2: int, m2: int, axis: int) -> comp
         * spherical_harmonic(l2, m2, tt, pp)
     )
     return sphere_integral(integrand, ww)
+
+
+# <1,0| cos(theta) |0,0> computed once by the quadrature (= 1/sqrt(3)).
+_Z_MATRIX_ELEMENT = dipole_matrix_element(1, 0, 0, 0, axis=3).real
+
+
+@dataclass(frozen=True)
+class MixedStates:
+    """Field-mixed rotational eigenstates over the (|0,0>, |1,0>) basis."""
+
+    alpha: float
+    amp_0: np.ndarray
+    amp_1: np.ndarray
+
+
+def mixed_states(alpha: float) -> MixedStates:
+    """Rotate the (|0,0>, |1,0>) pair by the mixing angle alpha [rad]."""
+    c, s = math.cos(alpha), math.sin(alpha)
+    return MixedStates(
+        alpha=alpha,
+        amp_0=np.array([c, s], dtype=complex),
+        amp_1=np.array([-s, c], dtype=complex),
+    )
+
+
+def permanent_polarization(alpha: float, w_plus: float, w_minus: float) -> float:
+    """Permanent z-polarization of the mixed stationary state.
+
+    Evaluates the weighted expectation
+
+        P_z = (w_minus + 3 w_plus)/2 · <mix0|n_z|mix0>
+            + (w_minus + 3 w_plus)/6 · <mix1|n_z|mix1>
+
+    with the quadrature value of <1,0|n_z|0,0>. The weights must satisfy
+    w_minus + 3·w_plus = 1, and given that constraint the result is
+    weight-independent: sin(2·alpha)/(3·sqrt(3)).
+    """
+    norm = w_minus + 3.0 * w_plus
+    if abs(norm - 1.0) > _WEIGHT_TOL:
+        raise ValueError(
+            f"level weights must satisfy w_minus + 3*w_plus = 1, got {norm!r}"
+        )
+    states = mixed_states(alpha)
+    n_z = np.array([[0.0, _Z_MATRIX_ELEMENT], [_Z_MATRIX_ELEMENT, 0.0]], dtype=complex)
+    exp0 = float(np.real(np.vdot(states.amp_0, n_z @ states.amp_0)))
+    exp1 = float(np.real(np.vdot(states.amp_1, n_z @ states.amp_1)))
+    return (norm / 2.0) * exp0 + (norm / 6.0) * exp1

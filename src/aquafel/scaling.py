@@ -19,7 +19,9 @@ Neither scale involves the ion velocity.
 
 gain_grid evaluates them over a rho x P_z grid, and gain_coefficients is
 the one route from SystemParams to them, through gain_grid at one point;
-prefactors_closed_form is an independent reference for c_A and c_t.
+prefactors_closed_form is an independent reference for c_A and c_t, and
+validity_ratio converts a scaled momentum back to units of omega_c. All
+of it is plain float arithmetic: no numpy.
 """
 
 from __future__ import annotations
@@ -27,21 +29,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .rotor import RigidRotor
 
 _SQRT3 = math.sqrt(3.0)
 #: Largest attainable permanent polarization, at mixing angle pi/4.
 P_Z_MAX = 1.0 / (3.0 * _SQRT3)
+#: (alpha, beta, A_sat, t_gain, c_A, c_t) where the mechanism is off.
+_MECHANISM_OFF = (0.0, 0.0, 0.0, math.inf, math.nan, math.nan)
 
 
-def _rho_ok(rho):  # element-wise on arrays, as _pz_ok
-    return (0.0 < rho) & (rho < math.inf)
+def _rho_ok(rho: float) -> bool:
+    return 0.0 < rho < math.inf
 
 
-def _pz_ok(P_z):
-    return (0.0 <= P_z) & (P_z <= P_Z_MAX)
+def _pz_ok(P_z: float) -> bool:
+    return 0.0 <= P_z <= P_Z_MAX
 
 
 @dataclass(frozen=True)
@@ -91,54 +93,50 @@ class GainCoefficients:
         return self.A_sat > 0.0 and math.isfinite(self.t_gain)
 
 
-def _cpow(x, e: float) -> np.ndarray:
-    """x ** e per element by CPython's float pow, not numpy.power, which
-    differs from it by 1 ulp on some inputs; +inf where CPython raises
-    (0 ** -e, overflow)."""
+def gain_grid(n: int, delta_n_bar: float, rho, P_z, rotor: RigidRotor, mu: float):
+    """Yield, for each rho in order, the list of (alpha, beta, A_sat, t_gain, c_A,
+    c_t) at (rho, P_z[j]) for every P_z.
 
-    def pow_or_inf(v: float) -> float:
-        try:
-            return v ** e
-        except (OverflowError, ZeroDivisionError):
-            return math.inf
-
-    return np.array([pow_or_inf(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
-
-
-def gain_grid(n: int, delta_n_bar: float, rho, P_z, rotor: RigidRotor, mu: float) -> tuple:
-    """(alpha, beta, A_sat, t_gain, c_A, c_t) over the grid (rho[i], P_z[j]), as
-    arrays indexed [i, j] (alpha, free of rho, has one row), in one evaluation.
-
-    Powers go through _cpow and the rest rounds alike in numpy and Python, so
-    each point has the bits of a one-point grid. Where P_z or delta_n_bar is 0
-    the mechanism is off, as gain_coefficients describes. The first point in
-    rho-major order with an invalid rho or P_z, or scales beyond the float
-    range, raises ValueError; nothing warns.
+    Plain float arithmetic, point by point in rho-major order; gain_coefficients
+    is this at one point, so every grid point has its bits. Where P_z or
+    delta_n_bar is 0 the mechanism is off, as gain_coefficients describes. The
+    first point with an invalid rho or P_z, or with scales beyond the float
+    range, raises ValueError when it is reached; nothing warns.
     """
-    rho, P_z = np.asarray(rho, dtype=float)[:, None], np.asarray(P_z, dtype=float)[None, :]
-    rho_ok, pz_ok = _rho_ok(rho), _pz_ok(P_z)
-    off = (P_z == 0.0) | (delta_n_bar == 0.0)
-    with np.errstate(all="ignore"):
-        # NaN stands in for an invalid rho or P_z: a negative one has complex powers
-        r, p = np.where(rho_ok, rho, math.nan), np.where(pz_ok, P_z, math.nan)
-        d_eff = rotor.d0_tilde * p
-        alpha = _SQRT3 * delta_n_bar * rotor.omega_c * d_eff / (n * rotor.I_ave)
-        beta = mu * rotor.constants.c**2 * r * delta_n_bar * d_eff / (2.0 * _SQRT3)
-        A_sat = _cpow(alpha / (2.0 * _cpow(beta, 2)), -1.0 / 3.0)
-        t_gain = _cpow(alpha * beta / 2.0, -1.0 / 3.0)
-        c_A = A_sat / (_cpow(r, 2.0 / 3.0) * _cpow(p, 1.0 / 3.0))
-        c_t = t_gain * _cpow(r, 1.0 / 3.0) * _cpow(p, 2.0 / 3.0)
-        in_range = np.all([(0.0 < x) & (x < math.inf) for x in (A_sat, t_gain, c_A, c_t)], 0)
-    bad = ~(rho_ok & pz_ok & (off | in_range))
-    if bad.any():
-        i, j = np.unravel_index(np.argmax(bad), bad.shape)
-        rho_i, pz_j = rho[i, 0].item(), P_z[0, j].item()
-        SystemParams(n, delta_n_bar, rho_i, pz_j, rotor, mu)  # raises for an invalid input
-        raise ValueError("saturation scales leave the floating-point range at rho = "
-                         f"{rho_i!r} 1/m^3, P_z = {pz_j!r}, delta_n_bar = {delta_n_bar!r}")
-    off_values = (0.0, 0.0, 0.0, math.inf, math.nan, math.nan)
-    return tuple(np.where(off, v, x)
-                 for v, x in zip(off_values, (alpha, beta, A_sat, t_gain, c_A, c_t)))
+    k_alpha, n_I = _SQRT3 * delta_n_bar * rotor.omega_c, n * rotor.I_ave
+    k_beta, d0_tilde = mu * rotor.constants.c**2, rotor.d0_tilde
+    for r in rho:
+        row = []
+        for p in P_z:
+            if not (_rho_ok(r) and _pz_ok(p)):
+                raise _bad_point(n, delta_n_bar, r, p, rotor, mu)
+            if p == 0.0 or delta_n_bar == 0.0:
+                row.append(_MECHANISM_OFF)
+                continue
+            d_eff = d0_tilde * p
+            alpha = k_alpha * d_eff / n_I
+            beta = k_beta * r * delta_n_bar * d_eff / (2.0 * _SQRT3)
+            try:
+                A_sat = (alpha / (2.0 * beta**2)) ** (-1.0 / 3.0)
+                t_gain = (alpha * beta / 2.0) ** (-1.0 / 3.0)
+                c_A = A_sat / (r ** (2.0 / 3.0) * p ** (1.0 / 3.0))
+            except (ZeroDivisionError, OverflowError):  # an infinite or undefined scale
+                raise _bad_point(n, delta_n_bar, r, p, rotor, mu) from None
+            c_t = t_gain * r ** (1.0 / 3.0) * p ** (2.0 / 3.0)
+            if not (0.0 < A_sat < math.inf and 0.0 < t_gain < math.inf
+                    and 0.0 < c_A < math.inf and 0.0 < c_t < math.inf):
+                raise _bad_point(n, delta_n_bar, r, p, rotor, mu)
+            row.append((alpha, beta, A_sat, t_gain, c_A, c_t))
+        yield row
+
+
+def _bad_point(n: int, delta_n_bar: float, rho: float, P_z: float, rotor: RigidRotor,
+               mu: float) -> ValueError:
+    """The error for a grid point: SystemParams' own for an invalid input, else
+    the range error."""
+    SystemParams(n, delta_n_bar, rho, P_z, rotor, mu)  # raises for an invalid input
+    return ValueError("saturation scales leave the floating-point range at rho = "
+                      f"{rho!r} 1/m^3, P_z = {P_z!r}, delta_n_bar = {delta_n_bar!r}")
 
 
 def gain_coefficients(params: SystemParams) -> GainCoefficients:
@@ -149,9 +147,9 @@ def gain_coefficients(params: SystemParams) -> GainCoefficients:
     exception is raised. Scales that over- or underflow the float range
     raise ValueError naming rho, P_z and delta_n_bar.
     """
-    coeffs = gain_grid(params.n, params.delta_n_bar, [params.rho], [params.P_z],
-                       params.rotor, params.mu)
-    return GainCoefficients(*(float(x[0, 0]) for x in coeffs))
+    [[point]] = gain_grid(params.n, params.delta_n_bar, [params.rho], [params.P_z],
+                          params.rotor, params.mu)
+    return GainCoefficients(*point)
 
 
 def prefactors_closed_form(params: SystemParams) -> tuple[float, float]:
@@ -181,3 +179,10 @@ def prefactors_closed_form(params: SystemParams) -> tuple[float, float]:
     ) ** (1.0 / 3.0)
     return c_A, c_t
 
+
+def validity_ratio(p_max_abs: float, t_gain: float, omega_c: float) -> float:
+    """max|theta_dot|/omega_c from the largest scaled momentum |p| = |theta_dot|·t_gain.
+
+    It must stay well below 1 for the slow-phase approximation to hold.
+    """
+    return p_max_abs / (t_gain * omega_c)

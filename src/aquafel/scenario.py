@@ -14,6 +14,11 @@ The equations of motion are in scaled units, so the physical inputs
 t_gain. The integration therefore depends on the SimConfig alone, and
 _scaled_run keeps the last one: configs that differ only in physics share
 one integration, and its Trajectory arrays are read-only.
+
+derive_chain, sweep and write_sweep_csv are plain float arithmetic. The
+integrator (dynamics) and numpy are imported only inside the functions
+that integrate or read and write a trajectory, so `aquafel derive` and
+`aquafel sweep` never load them.
 """
 
 from __future__ import annotations
@@ -23,16 +28,16 @@ import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .config import ConfigError, ScenarioConfig, resolved_entries
-from .constants import CODATA2018
-from .dynamics import Diagnostics, SimConfig, Trajectory, run, validity_ratio
+from .config import ConfigError, ScenarioConfig, SimConfig, resolved_entries
+from .constants import CODATA2018, GAUSS_LEGENDRE_ORDER, TRAPEZOID_ORDER
 from .mixing import DELTA_W_LIMIT_CYCLE, polarization_result, solvation_inversion
-from .quadrature import GAUSS_LEGENDRE_ORDER, TRAPEZOID_ORDER
 from .rotor import build_rotor, thermal_inversion
-from .scaling import SystemParams, gain_coefficients, gain_grid
+from .scaling import SystemParams, gain_coefficients, gain_grid, validity_ratio
+
+if TYPE_CHECKING:
+    from .dynamics import Diagnostics, Trajectory
 
 #: Trajectory CSV columns, in the field order of Trajectory.
 CSV_HEADER = "tau,A0_scaled,phi,bunch_re,bunch_im,p_mean,conserved"
@@ -130,13 +135,15 @@ def _json_float(x: float):
 
 @functools.lru_cache(maxsize=1)
 def _scaled_run(sim: SimConfig) -> tuple[Trajectory, Diagnostics]:
-    """run(sim), kept for the next call with an equal SimConfig.
+    """dynamics.run(sim), kept for the next call with an equal SimConfig.
 
     The arrays of the kept Trajectory are read-only, so no caller can
     change what a later call returns. A run that raises is not kept.
     """
-    traj, diag = run(sim)
-    for f in fields(Trajectory):
+    from . import dynamics
+
+    traj, diag = dynamics.run(sim)
+    for f in fields(traj):
         getattr(traj, f.name).flags.writeable = False
     return traj, diag
 
@@ -200,7 +207,9 @@ def write_summary(summary: dict, path: Path) -> None:
 
 
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
-    columns = np.column_stack([getattr(traj, f.name) for f in fields(Trajectory)])
+    import numpy as np
+
+    columns = np.column_stack([getattr(traj, f.name) for f in fields(traj)])
     with Path(path).open("w") as fh:
         fh.write(CSV_HEADER + "\n")
         fh.writelines(CSV_ROW % tuple(row.tolist()) for row in columns)
@@ -208,6 +217,10 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
 
 def read_trajectory_csv(path: str | Path) -> Trajectory:
     """Inverse of write_trajectory_csv (used by the plot subcommand)."""
+    import numpy as np
+
+    from .dynamics import Trajectory
+
     try:
         lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     except UnicodeDecodeError as exc:
@@ -277,13 +290,13 @@ def slippage_check(l_b: float, l_g: float, v: float) -> SlippageDiagnostic:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Axes rho, P_z and scales A_sat[i, j], t_gain[i, j] at
-    (rho[i], P_z[j]): row-major order is rho-major grid order."""
+    """Axes rho, P_z and scales A_sat[i][j], t_gain[i][j] at (rho[i], P_z[j]),
+    as lists of floats: one row per rho, so the rows are in rho-major order."""
 
-    rho: np.ndarray
-    P_z: np.ndarray
-    A_sat: np.ndarray
-    t_gain: np.ndarray
+    rho: list[float]
+    P_z: list[float]
+    A_sat: list[list[float]]
+    t_gain: list[list[float]]
 
 
 def sweep(rho_values, pz_values, n: int = 30, delta_w: float | None = None,
@@ -291,23 +304,27 @@ def sweep(rho_values, pz_values, n: int = 30, delta_w: float | None = None,
     """Saturation scales over a rho x P_z grid, as gain_grid gives them.
 
     workers is accepted for compatibility and ignored: the grid is one
-    serial evaluation over arrays, so results never depend on it.
+    serial evaluation, so results never depend on it.
     """
     if delta_w is None:
         delta_w = DELTA_W_LIMIT_CYCLE
-    rho, P_z = np.array(rho_values, dtype=float), np.array(pz_values, dtype=float)
-    _, _, A_sat, t_gain, _, _ = gain_grid(n, solvation_inversion(n, delta_w), rho, P_z,
-                                          build_rotor(CODATA2018), CODATA2018.mu0)
+    rho, P_z = [float(v) for v in rho_values], [float(v) for v in pz_values]
+    A_sat, t_gain = [], []
+    for row in gain_grid(n, solvation_inversion(n, delta_w), rho, P_z,
+                         build_rotor(CODATA2018), CODATA2018.mu0):
+        # each point is (alpha, beta, A_sat, t_gain, c_A, c_t); only the scales are kept
+        A_sat.append([point[2] for point in row])
+        t_gain.append([point[3] for point in row])
     return SweepGrid(rho, P_z, A_sat, t_gain)
 
 
 def write_sweep_csv(grid: SweepGrid, path: Path) -> None:
     """One row per point in rho-major order, each value as f"{v:.16e}", written one
     rho row of the grid at a time; each rho and P_z is formatted once."""
-    pz_text = [f"{v:.16e}" for v in grid.P_z.tolist()]
+    pz_text = [f"{v:.16e}" for v in grid.P_z]
     with Path(path).open("w") as fh:
         fh.write(SWEEP_HEADER + "\n")
-        for rho, A_row, t_row in zip(grid.rho.tolist(), grid.A_sat, grid.t_gain):
+        for rho, A_row, t_row in zip(grid.rho, grid.A_sat, grid.t_gain):
             head = f"{rho:.16e},"
             fh.write("".join([f"{head}{pz},{a:.16e},{t:.16e}\n"
-                              for pz, a, t in zip(pz_text, A_row.tolist(), t_row.tolist())]))
+                              for pz, a, t in zip(pz_text, A_row, t_row)]))

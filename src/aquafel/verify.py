@@ -3,7 +3,7 @@
 Each check recomputes a closed-form result through an independent route
 (quadrature vs analytic values, matrix arithmetic vs trigonometric
 closed forms) and reports the worst deviation. This is the one place
-where the derivations in spinstates and mixing meet their closed forms:
+where the derivations in spinstates and quadrature meet their closed forms:
 the functions themselves return the derived value unchecked, so a fault
 shows here as a FAIL line while the other checks still run. The CLI
 `verify` subcommand prints one line per check; the test suite asserts
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixing import permanent_polarization
-from .quadrature import dipole_matrix_element
+from .quadrature import dipole_matrix_element, permanent_polarization
 from .rotor import build_rotor
 from .spinstates import (
     energy_spins,

@@ -22,8 +22,8 @@ from aquafel.dynamics import (
     polar_equivalence,
     run,
     step,
-    validity_ratio,
 )
+from aquafel.scaling import validity_ratio
 
 GROWTH_RATE = math.sqrt(3.0) / 2.0
 
@@ -175,6 +175,19 @@ def test_conserved_drift_over_ten_thousand_steps():
                     init_mode="quiet-start", rng_seed=7, record_stride=20)
     traj, diag = run(cfg)
     assert diag.conserved_drift < 1e-8
+
+
+def test_step_leaves_its_input_state_as_it_was():
+    # step updates its own copies in place; the input's arrays and kept phases stay
+    state = step(init_ensemble(small_config(n_particles=64)), 0.01)
+    eith, b = state.phases()
+    before = (state.theta.copy(), state.p.copy(), eith.copy(), b, state.field)
+    first, second = step(state, 0.01), step(state, 0.01)
+    after = (state.theta, state.p, *state.phases(), state.field)
+    for old, new in zip(before, after):
+        assert np.array_equal(old, new)
+    assert np.array_equal(first.theta, second.theta) and np.array_equal(first.p, second.p)
+    assert first.field == second.field
 
 
 def test_step_rejects_bad_dt_and_detects_blowup():

@@ -9,12 +9,11 @@ from aquafel.mixing import (
     C_P,
     DELTA_W_LIMIT_CYCLE,
     linearized_polarization,
-    mixed_states,
-    permanent_polarization,
     polarization_result,
     solvation_inversion,
     weights_from_delta_w,
 )
+from aquafel.quadrature import mixed_states, permanent_polarization
 
 SQRT3 = math.sqrt(3.0)
 
