@@ -31,6 +31,7 @@ from .config import (
     load_config,
     parse_float,
 )
+from .mixing import DELTA_W_LIMIT_CYCLE
 from .scenario import (
     derive_chain,
     mechanism_off_cause,
@@ -99,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--pzs", required=True,
                          help="comma-separated permanent polarizations")
     p_sweep.add_argument("--n-waters", type=int, default=30)
-    p_sweep.add_argument("--delta-w", type=float, default=None)
+    p_sweep.add_argument("--delta-w", type=float, default=DELTA_W_LIMIT_CYCLE)
     p_sweep.add_argument("--out", type=Path, default=Path("out"))
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -10,7 +10,7 @@ summary can echo them without importing the quadrature (or numpy).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,8 @@ class PhysicalConstants:
     e_charge: float = 1.602176634e-19
     mu0: float = 1.25663706212e-6
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) <= 0.0:
-                raise ValueError(f"physical constant {f.name!r} must be positive")
 
-
-#: Frozen CODATA 2018 table; the default constants source everywhere.
+#: Frozen CODATA 2018 table; rotor, scaling and scenario read it directly.
 CODATA2018 = PhysicalConstants()
 
 #: Gauss-Legendre node count in cos(theta) of quadrature.py; exact for x-degree <= 31.

@@ -1,8 +1,8 @@
 """N-particle collective-instability integrator in scaled units.
 
 State: particle phases theta_I, scaled momenta p_I = dtheta_I/dtau, and
-the complex field amplitude field = amp·e^{-i·phi}. The equations of
-motion in the regular complex-field form are
+the field amplitude field = amp·e^{-i·phi}, held as one Python complex.
+The equations of motion in the regular complex-field form are
 
     dtheta_I/dtau = p_I
     dp_I/dtau     = -(field·e^{-i·theta_I} + c.c.)
@@ -78,18 +78,13 @@ def pairwise_mean(values: np.ndarray):
 
 @dataclass
 class EnsembleState:
-    """Phases, momenta and complex field amplitude at scaled time tau."""
+    """Phases, momenta and the field amplitude, one complex, at scaled time tau."""
 
     theta: np.ndarray
     p: np.ndarray
-    field_re: float
-    field_im: float
+    field: complex
     tau: float
     _phases: tuple | None = dataclass_field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def field(self) -> complex:
-        return complex(self.field_re, self.field_im)
 
     @property
     def amp(self) -> float:
@@ -98,7 +93,7 @@ class EnsembleState:
     @property
     def phi(self) -> float:
         """Field phase, field = amp·e^{-i·phi}."""
-        return -math.atan2(self.field_im, self.field_re)
+        return -math.atan2(self.field.imag, self.field.real)
 
     def phases(self) -> tuple[np.ndarray, complex]:
         """(e^{i·theta}, <e^{i·theta}>) at this state, computed on first use and kept.
@@ -171,8 +166,7 @@ def init_ensemble(config: SimConfig) -> EnsembleState:
     return EnsembleState(
         theta=theta,
         p=np.zeros(n),
-        field_re=config.seed_amp,
-        field_im=0.0,
+        field=complex(config.seed_amp, 0.0),
         tau=0.0,
     )
 
@@ -249,7 +243,7 @@ def step(state: EnsembleState, dt: float) -> EnsembleState:
         field = _kick(eith, b, p, field, _KICKS[-1] * dt, prod)
     _require_finite(theta, p, field, state.tau)
     # the caller assigns tau from the step index
-    out = EnsembleState(theta=theta, p=p, field_re=field.real, field_im=field.imag, tau=state.tau)
+    out = EnsembleState(theta=theta, p=p, field=field, tau=state.tau)
     out._phases = (eith, b)
     return out
 

@@ -20,7 +20,6 @@ module is plain float arithmetic and imports no numpy.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 #: Linear response slope of P_z to the static field [m/V].
 C_P = 4.9e-9
@@ -28,26 +27,6 @@ C_P = 4.9e-9
 E0Z_MAX = 1.0e7
 #: Stationary (limit-cycle) weight difference w_minus - w_plus.
 DELTA_W_LIMIT_CYCLE = 0.62
-
-
-@dataclass(frozen=True)
-class PolarizationResult:
-    """Permanent polarization and level weights of the stationary state.
-
-    P_z is dimensionless (expectation of the dipole direction along z);
-    delta_n_bar = n·delta_w is the inversion over an n-molecule shell.
-    """
-
-    P_z: float
-    w_plus: float
-    w_minus: float
-    delta_w: float
-    delta_n_bar: float
-
-    @property
-    def vector(self) -> tuple[float, float, float]:
-        """(P_x, P_y, P_z); the transverse components vanish identically."""
-        return (0.0, 0.0, self.P_z)
 
 
 def linearized_polarization(E0z: float) -> float:
@@ -76,16 +55,3 @@ def weights_from_delta_w(delta_w: float) -> tuple[float, float]:
     w_minus = (1.0 + 3.0 * delta_w) / 4.0
     return w_plus, w_minus
 
-
-def polarization_result(
-    P_z: float, n: int, delta_w: float = DELTA_W_LIMIT_CYCLE
-) -> PolarizationResult:
-    """Bundle P_z with the stationary weights and the shell inversion."""
-    w_plus, w_minus = weights_from_delta_w(delta_w)
-    return PolarizationResult(
-        P_z=P_z,
-        w_plus=w_plus,
-        w_minus=w_minus,
-        delta_w=delta_w,
-        delta_n_bar=solvation_inversion(n, delta_w),
-    )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import CODATA2018, PhysicalConstants
+from .constants import CODATA2018
 
 #: Geometry length of the rotor arm [m] (0.82 Angstrom).
 D_G_WATER = 0.82e-10
@@ -24,7 +24,7 @@ D_E_WATER = 0.2e-10
 
 @dataclass(frozen=True)
 class RigidRotor:
-    """Derived two-level rotor constants, all SI.
+    """Derived two-level rotor constants, all SI, from the CODATA2018 table.
 
     d_g, d_e are the input lengths [m]; I_ave [kg·m²] the average moment
     of inertia; E_split [J] the l=0 -> l=1 energy splitting; omega_c
@@ -41,7 +41,6 @@ class RigidRotor:
     l_c: float
     d0: float
     d0_tilde: float
-    constants: PhysicalConstants = CODATA2018
 
 
 @dataclass(frozen=True)
@@ -56,27 +55,21 @@ class ThermalInversion:
     energy_ratio: float
 
 
-def build_rotor(
-    constants: PhysicalConstants = CODATA2018,
-    d_g: float = D_G_WATER,
-    d_e: float = D_E_WATER,
-) -> RigidRotor:
-    """Derive all two-level rotor constants from the geometry lengths.
+def build_rotor(d_g: float = D_G_WATER, d_e: float = D_E_WATER) -> RigidRotor:
+    """Derive all two-level rotor constants from the geometry lengths and CODATA2018.
 
     Parameters
     ----------
-    constants : PhysicalConstants
-        SI constants source.
     d_g, d_e : float
         Rotor-arm and dipole lengths [m]; must be positive.
     """
     if d_g <= 0.0 or d_e <= 0.0:
         raise ValueError("rotor lengths d_g, d_e must be positive")
-    I_ave = 2.0 * constants.m_p * d_g**2
-    E_split = constants.hbar**2 / I_ave
-    omega_c = E_split / constants.hbar
-    l_c = 2.0 * math.pi * constants.c / omega_c
-    d0 = 2.0 * constants.e_charge * d_e
+    I_ave = 2.0 * CODATA2018.m_p * d_g**2
+    E_split = CODATA2018.hbar**2 / I_ave
+    omega_c = E_split / CODATA2018.hbar
+    l_c = 2.0 * math.pi * CODATA2018.c / omega_c
+    d0 = 2.0 * CODATA2018.e_charge * d_e
     return RigidRotor(
         d_g=d_g,
         d_e=d_e,
@@ -86,7 +79,6 @@ def build_rotor(
         l_c=l_c,
         d0=d0,
         d0_tilde=d0 * math.sqrt(2.0 / 3.0),
-        constants=constants,
     )
 
 
@@ -102,14 +94,14 @@ def population_ratio(rotor: RigidRotor, l: int, temperature: float) -> float:
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
     E_l = rotational_level_energy(rotor, l)
-    return math.exp(-E_l / (rotor.constants.k_B * temperature))
+    return math.exp(-E_l / (CODATA2018.k_B * temperature))
 
 
 def thermal_inversion(rotor: RigidRotor, n: int, temperature: float) -> ThermalInversion:
     """Thermal-equilibrium population difference over an n-molecule shell."""
     if n < 1:
         raise ValueError("molecule count n must be >= 1")
-    thermal_energy = 2.0 * rotor.constants.k_B * temperature
+    thermal_energy = 2.0 * CODATA2018.k_B * temperature
     if not thermal_energy > 0.0:
         raise ValueError(f"temperature must be positive with 2·k_B·T > 0, got {temperature!r} K")
     ratio = rotor.E_split / thermal_energy

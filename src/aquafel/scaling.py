@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .constants import CODATA2018
 from .rotor import RigidRotor
 
 _SQRT3 = math.sqrt(3.0)
@@ -104,7 +105,7 @@ def gain_grid(n: int, delta_n_bar: float, rho, P_z, rotor: RigidRotor, mu: float
     range, raises ValueError when it is reached; nothing warns.
     """
     k_alpha, n_I = _SQRT3 * delta_n_bar * rotor.omega_c, n * rotor.I_ave
-    k_beta, d0_tilde = mu * rotor.constants.c**2, rotor.d0_tilde
+    k_beta, d0_tilde = mu * CODATA2018.c**2, rotor.d0_tilde
     for r in rho:
         row = []
         for p in P_z:
@@ -160,8 +161,7 @@ def prefactors_closed_form(params: SystemParams) -> tuple[float, float]:
         c_A = [n·delta_n_bar·I_ave·mu²·c⁴·d0_tilde / (6·sqrt(3)·omega_c)]^(1/3)
         c_t = [4·n·I_ave / (omega_c·mu·c²·d0_tilde²·delta_n_bar²)]^(1/3)
     """
-    rotor = params.rotor
-    c = rotor.constants.c
+    rotor, c = params.rotor, CODATA2018.c
     c_A = (
         params.n
         * params.delta_n_bar

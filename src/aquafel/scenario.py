@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 from .config import ConfigError, ScenarioConfig, SimConfig, resolved_entries
 from .constants import CODATA2018, GAUSS_LEGENDRE_ORDER, TRAPEZOID_ORDER
-from .mixing import DELTA_W_LIMIT_CYCLE, polarization_result, solvation_inversion
+from .mixing import DELTA_W_LIMIT_CYCLE, solvation_inversion, weights_from_delta_w
 from .rotor import build_rotor, thermal_inversion
 from .scaling import SystemParams, gain_coefficients, gain_grid, validity_ratio
 
@@ -62,12 +62,12 @@ class ScenarioResult:
 
 def derive_chain(config: ScenarioConfig, defaulted: list[str] | None = None) -> dict:
     """Physical derivation chain as a JSON-ready dict (no simulation)."""
-    rotor = build_rotor(CODATA2018)
+    rotor = build_rotor()
     P_z = config.polarization()
-    pol = polarization_result(P_z, config.n_waters, config.delta_w)
+    w_plus, w_minus = weights_from_delta_w(config.delta_w)
     params = SystemParams(
         n=config.n_waters,
-        delta_n_bar=pol.delta_n_bar,
+        delta_n_bar=solvation_inversion(config.n_waters, config.delta_w),
         rho=config.ion_concentration(),
         P_z=P_z,
         rotor=rotor,
@@ -97,10 +97,10 @@ def derive_chain(config: ScenarioConfig, defaulted: list[str] | None = None) -> 
             "thermal_delta_n_bar": thermal.delta_n_bar,
             "thermal_energy_ratio": thermal.energy_ratio,
             "P_z": P_z,
-            "delta_w": pol.delta_w,
-            "w_plus": pol.w_plus,
-            "w_minus": pol.w_minus,
-            "delta_n_bar": pol.delta_n_bar,
+            "delta_w": config.delta_w,
+            "w_plus": w_plus,
+            "w_minus": w_minus,
+            "delta_n_bar": params.delta_n_bar,
             "rho_m^-3": params.rho,
             "alpha_coef": coeffs.alpha_coef,
             "beta_coef": coeffs.beta_coef,
@@ -299,19 +299,19 @@ class SweepGrid:
     t_gain: list[list[float]]
 
 
-def sweep(rho_values, pz_values, n: int = 30, delta_w: float | None = None,
+def sweep(rho_values, pz_values, n: int = 30, delta_w: float = DELTA_W_LIMIT_CYCLE,
           workers: int = 1) -> SweepGrid:
-    """Saturation scales over a rho x P_z grid, as gain_grid gives them.
+    """Saturation scales over a rho x P_z grid, as gain_grid gives them, for an
+    n-molecule shell with level-weight difference delta_w (by default the
+    limit-cycle value DELTA_W_LIMIT_CYCLE).
 
     workers is accepted for compatibility and ignored: the grid is one
     serial evaluation, so results never depend on it.
     """
-    if delta_w is None:
-        delta_w = DELTA_W_LIMIT_CYCLE
     rho, P_z = [float(v) for v in rho_values], [float(v) for v in pz_values]
     A_sat, t_gain = [], []
     for row in gain_grid(n, solvation_inversion(n, delta_w), rho, P_z,
-                         build_rotor(CODATA2018), CODATA2018.mu0):
+                         build_rotor(), CODATA2018.mu0):
         # each point is (alpha, beta, A_sat, t_gain, c_A, c_t); only the scales are kept
         A_sat.append([point[2] for point in row])
         t_gain.append([point[3] for point in row])

@@ -148,6 +148,9 @@ HOSTILE_INPUTS = {
                              "rho = 5e-324"),
     "sweep-pzs-subnormal": (None, ["sweep", "--rhos", "1e17", "--pzs", "5e-324"],
                             "P_z = 5e-324"),
+    # alpha/(2·beta²) overflows to inf, so A_sat comes out 0 without an exception
+    "sweep-rhos-A_sat-underflows": (None, ["sweep", "--rhos", "1e-130", "--pzs", "0.19"],
+                                    "rho = 1e-130"),
     "sweep-pzs-above-ceiling": (None, ["sweep", "--rhos", "1e17", "--pzs", "0.5"], "P_z"),
     # one ulp above P_Z_MAX: the ceiling is the same as for simulate
     "sweep-pzs-one-ulp-above-ceiling": (None, ["sweep", "--rhos", "1e17", "--pzs",

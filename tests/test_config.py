@@ -66,6 +66,18 @@ def test_unknown_key_reports_line_number():
         parse_config_text("rho_typo = 1e17")
 
 
+@pytest.mark.parametrize("text", ["rho =", "= 1e17"], ids=["empty-value", "empty-key"])
+def test_empty_key_or_value_reports_line_number(text):
+    with pytest.raises(ConfigError, match=r"<string>:1: empty key or value in "):
+        parse_config_text(text)
+
+
+def test_unknown_key_in_entries_rejected():
+    # entries built in code skip parse_config_text, so config_from_entries checks too
+    with pytest.raises(ConfigError, match=r"^unknown key 'rho_typo'$"):
+        config_from_entries({"rho_typo": "1"})
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate key"):
         parse_config_text("rho = 1e17\nrho = 2e17")

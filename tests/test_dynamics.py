@@ -41,8 +41,7 @@ def uniform_state(n=64, field=0.0 + 0.0j):
     return EnsembleState(
         theta=2.0 * math.pi * np.arange(n) / n,
         p=np.zeros(n),
-        field_re=field.real,
-        field_im=field.imag,
+        field=field,
         tau=0.0,
     )
 
@@ -92,7 +91,7 @@ def test_no_force_when_phases_sit_at_potential_node():
     n = 32
     state = EnsembleState(
         theta=np.full(n, math.pi / 2.0), p=np.zeros(n),
-        field_re=0.3, field_im=0.0, tau=0.0,
+        field=0.3 + 0.0j, tau=0.0,
     )
     _, dp, _ = derivative(state)
     np.testing.assert_allclose(dp, 0.0, atol=1e-15)
@@ -146,11 +145,11 @@ def test_step_halving_shows_fourth_order():
     base = EnsembleState(
         theta=rng.uniform(0.0, 2.0 * math.pi, n),
         p=rng.normal(0.0, 0.3, n),
-        field_re=0.3, field_im=0.2, tau=0.0,
+        field=0.3 + 0.2j, tau=0.0,
     )
 
     def advance(dt, k):
-        s = EnsembleState(base.theta.copy(), base.p.copy(), base.field_re, base.field_im, 0.0)
+        s = EnsembleState(base.theta.copy(), base.p.copy(), base.field, 0.0)
         for _ in range(k):
             s = step(s, dt)
         return s
@@ -226,8 +225,7 @@ def test_phase_shift_covariance():
     s1 = init_ensemble(cfg)
     s2 = EnsembleState(
         theta=s1.theta + chi, p=s1.p.copy(),
-        field_re=(s1.field * np.exp(1j * chi)).real,
-        field_im=(s1.field * np.exp(1j * chi)).imag,
+        field=complex(s1.field * np.exp(1j * chi)),
         tau=0.0,
     )
     for _ in range(100):
@@ -242,7 +240,7 @@ def test_bunching_magnitude_bounded():
     for _ in range(20):
         state = EnsembleState(
             theta=rng.uniform(-10.0, 10.0, 64), p=np.zeros(64),
-            field_re=0.0, field_im=0.0, tau=0.0,
+            field=0.0j, tau=0.0,
         )
         assert abs(state.bunching()) <= 1.0 + 1e-15
 
@@ -358,7 +356,7 @@ def saturating_run():
 def rk4_fields(cfg):
     """field after each classical RK4 step of the complex-field equations."""
     def deriv(theta, p, field):
-        return derivative(EnsembleState(theta, p, field.real, field.imag, 0.0))
+        return derivative(EnsembleState(theta, p, field, 0.0))
 
     start = init_ensemble(cfg)
     y = (start.theta, start.p, start.field)
@@ -379,6 +377,12 @@ def test_run_matches_rk4_through_saturation(saturating_run):
     assert diag.sat_tau == traj.tau[peak]
     assert abs(diag.sat_peak - amp[peak]) <= 1e-7
     assert abs(diag.growth_rate_fit - _fit_growth_rate(traj.tau, amp, cfg.seed_amp)) <= 1e-7
+
+
+def test_growth_rate_of_a_window_with_one_sample_is_nan():
+    # 2e-3 is the only amplitude in [10·seed, 0.1]: no line fits one point
+    amp = np.array([1e-4, 2e-3, 0.5])
+    assert math.isnan(_fit_growth_rate(np.arange(3.0), amp, 1e-4))
 
 
 def test_kicks_conserve_momentum_plus_field_energy_to_rounding(saturating_run):

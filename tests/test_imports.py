@@ -1,5 +1,5 @@
-"""Every module-level import in src/aquafel is used by its module, and the
-closed-form commands import no numpy."""
+"""Every import in src/aquafel, at module level or inside a function, is
+used in the scope that makes it, and the closed-form commands import no numpy."""
 
 import ast
 import os
@@ -14,23 +14,47 @@ import aquafel
 MODULES = sorted(Path(aquafel.__file__).resolve().parent.glob("*.py"))
 
 
-def unused_imports(source: str) -> list[str]:
-    """Names bound by the module's top-level imports that nothing in it reads."""
-    tree = ast.parse(source)
-    bound = {}
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def imports_of(scope: ast.AST):
+    """The import statements of a module or function, not of the functions in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
         if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import, at module level or inside a function, that nothing
+    in the scope of that import reads, in line order."""
+    tree = ast.parse(source)
+    unused = []
+    for scope in [tree, *(node for node in ast.walk(tree) if isinstance(node, SCOPES))]:
+        bound = {}
+        for node in imports_of(scope):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
             for alias in node.names:
                 # `import a.b` binds a
                 bound[alias.asname or alias.name.split(".")[0]] = node.lineno
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [f"line {line}: {name}" for name, line in bound.items() if name not in read]
+        read = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        unused += [(line, name) for name, line in bound.items() if name not in read]
+    return [f"line {line}: {name}" for line, name in sorted(unused)]
 
 
 def test_the_check_finds_an_unused_import():
     assert unused_imports("import math\nimport sys\nprint(sys.argv)\n") == ["line 1: math"]
+
+
+def test_the_check_finds_an_unused_import_inside_a_function():
+    source = ("import sys\n\n\ndef f():\n    import math\n    from os import path\n"
+              "    return path.sep, sys.argv\n\n\ndef g():\n    return math.pi\n")
+    # g's math is not f's: each import is read, or not, in its own function
+    assert unused_imports(source) == ["line 5: math"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

@@ -9,7 +9,6 @@ from aquafel.mixing import (
     C_P,
     DELTA_W_LIMIT_CYCLE,
     linearized_polarization,
-    polarization_result,
     solvation_inversion,
     weights_from_delta_w,
 )
@@ -130,10 +129,3 @@ def test_weights_from_delta_w_satisfy_both_constraints():
         assert w_minus - w_plus == pytest.approx(dw, abs=1e-15)
         assert w_minus + 3.0 * w_plus == pytest.approx(1.0, abs=1e-15)
 
-
-def test_polarization_result_bundle():
-    res = polarization_result(4.9e-7, 30)
-    assert res.delta_w == DELTA_W_LIMIT_CYCLE
-    assert res.delta_n_bar == pytest.approx(18.6, rel=1e-12)
-    assert res.vector == (0.0, 0.0, 4.9e-7)
-    assert res.w_minus + 3.0 * res.w_plus == pytest.approx(1.0, abs=1e-15)

@@ -143,8 +143,10 @@ def grid_points(rhos, pzs, delta_n_bar=18.6):
     # d_eff underflows to 0 although P_z is not 0: alpha = beta = 0
     (1e17, 5e-324, 18.6, "rho = 1e+17 1/m^3, P_z = 5e-324, delta_n_bar = 18.6"),
     (1e17, 1e-7, 5e-324, "rho = 1e+17 1/m^3, P_z = 1e-07, delta_n_bar = 5e-324"),
+    # alpha/(2·beta²) overflows to inf without raising, so A_sat = inf ** (-1/3) = 0.0
+    (1e-130, 0.19, 18.6, "rho = 1e-130 1/m^3, P_z = 0.19, delta_n_bar = 18.6"),
 ], ids=["rho-subnormal", "beta-squared-overflows", "rho-1e300", "rho-max-at-P_z-ceiling",
-        "P_z-subnormal", "delta_n_bar-subnormal"])
+        "P_z-subnormal", "delta_n_bar-subnormal", "A_sat-underflows-to-zero"])
 def test_scales_beyond_the_float_range_raise_the_range_error(rho, P_z, delta_n_bar, message):
     expected = "saturation scales leave the floating-point range at " + message
     with pytest.raises(ValueError) as one_point:
