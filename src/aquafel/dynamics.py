@@ -30,8 +30,11 @@ first integral <p²>/2 - 2 Im(field·conj(b)) does not drift secularly.
 It runs first-same-as-last: the closing kick of a step and the opening
 kick of the next share e^{i·theta}, which each EnsembleState keeps with b
 (EnsembleState.phases). A step therefore evaluates the phases
-(_phase_factors: one exp and one pairwise mean) 3 times, and a recorded
-bunching factor is the cached b, at no extra exp(i·theta).
+(_phase_factors: cos and sin into one complex array, and one pairwise
+mean) 3 times, and a recorded bunching factor is the cached b, at no
+extra evaluation. The first two of those evaluations, the kicks' products
+and forces, and the drifts' increments go into two scratch arrays that
+the step allocates once; only the phases it keeps are a new array.
 
 Classical RK4 (_rk4) remains for one purpose: polar_equivalence advances
 the complex and polar forms with it in lockstep.
@@ -181,10 +184,18 @@ def _derivative_arrays(theta, p, field):
     return p, -2.0 * (field * np.conj(eith)).real, b
 
 
-def _phase_factors(theta: np.ndarray) -> tuple[np.ndarray, complex]:
-    """(e^{i·theta}, <e^{i·theta}>): the module's one phase evaluation."""
-    eith = 1j * theta
-    np.exp(eith, out=eith)
+def _phase_factors(theta: np.ndarray,
+                   out: np.ndarray | None = None) -> tuple[np.ndarray, complex]:
+    """(e^{i·theta}, <e^{i·theta}>): the module's one phase evaluation.
+
+    cos and sin go into the real and imaginary parts of out (a new complex
+    array if None). For every finite theta but -0.0 these are the bits of
+    np.exp(1j*theta); at -0.0 the imaginary part is sin(-0.0) = -0.0 where
+    exp gives +0.0, as the imaginary part of 1j*theta is 0·0 + 1·(-0.0) = +0.0.
+    """
+    eith = np.empty(theta.shape, dtype=complex) if out is None else out
+    np.cos(theta, out=eith.real)
+    np.sin(theta, out=eith.imag)
     return eith, complex(pairwise_mean(eith))
 
 
@@ -209,14 +220,15 @@ _KICKS = (0.5 * _W1, 0.5 * (_W1 + _W0), 0.5 * (_W0 + _W1), 0.5 * _W1)
 
 
 def _kick(eith: np.ndarray, b: complex, p: np.ndarray, field: complex, h: float,
-          prod: np.ndarray) -> complex:
+          prod: np.ndarray, force: np.ndarray) -> complex:
     """Exact flow over h with the phases frozen: the momenta take, in place, h times
     the force of the field's mean over h (formed before scaling by h, so a field
     near the largest double overflows as in _derivative_arrays); returns the field
-    moved by h·b. prod is scratch for the complex product."""
+    moved by h·b. prod (which may be eith) and force are scratch for the complex
+    product and the force."""
     # Re(conj(c)·e^{i·theta}) equals Re(c·e^{-i·theta}) bit for bit and conjugates no array
     np.multiply((field + (0.5 * h) * b).conjugate(), eith, out=prod)
-    force = -2.0 * prod.real
+    np.multiply(prod.real, -2.0, out=force)
     force *= h
     p += force
     return field + h * b
@@ -235,12 +247,16 @@ def step(state: EnsembleState, dt: float) -> EnsembleState:
     theta, p, field = state.theta.copy(), state.p.copy(), state.field
     with np.errstate(over="ignore", invalid="ignore"):
         eith, b = state.phases()
-        prod = np.empty_like(eith)
-        for kick, drift in zip(_KICKS, _DRIFTS):
-            field = _kick(eith, b, p, field, kick * dt, prod)
-            theta += (drift * dt) * p
-            eith, b = _phase_factors(theta)
-        field = _kick(eith, b, p, field, _KICKS[-1] * dt, prod)
+        # scratch is the inner phases and every kick's product; work the forces and increments
+        scratch = np.empty_like(eith)
+        work = np.empty_like(p)
+        for i, (kick, drift) in enumerate(zip(_KICKS, _DRIFTS)):
+            field = _kick(eith, b, p, field, kick * dt, scratch, work)
+            np.multiply(p, drift * dt, out=work)
+            theta += work
+            # the last phases are kept by the returned state, so they get their own array
+            eith, b = _phase_factors(theta, scratch if i < len(_DRIFTS) - 1 else None)
+        field = _kick(eith, b, p, field, _KICKS[-1] * dt, scratch, work)
     _require_finite(theta, p, field, state.tau)
     # the caller assigns tau from the step index
     out = EnsembleState(theta=theta, p=p, field=field, tau=state.tau)

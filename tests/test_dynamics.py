@@ -17,6 +17,7 @@ from aquafel.dynamics import (
     _rk4,
     derivative,
     init_ensemble,
+    pairwise_mean,
     pairwise_sum,
     polar_derivative,
     polar_equivalence,
@@ -397,15 +398,60 @@ def test_each_step_evaluates_the_phases_three_times(monkeypatch, record_stride, 
     calls = []
     phase_factors = dynamics._phase_factors
 
-    def counting(theta):
+    def counting(theta, *rest):
         calls.append(theta)
-        return phase_factors(theta)
+        return phase_factors(theta, *rest)
 
     monkeypatch.setattr(dynamics, "_phase_factors", counting)
     cfg = small_config(n_particles=64, tau_end=0.23, record_stride=record_stride)
     traj, _ = run(cfg)
     assert len(traj) == rows
     assert len(calls) == 3 * cfg.n_steps + 1
+
+
+def bits(values):
+    """The IEEE words of real or complex values, so that == compares them bit for bit."""
+    return np.ascontiguousarray(values, dtype=complex).view(np.uint64)
+
+
+def test_phase_factors_are_the_bits_of_exp(saturating_run):
+    cfg = saturating_run[0]
+    state = init_ensemble(cfg)
+    quiet_start = state.theta
+    for _ in range(cfg.n_steps):
+        state = step(state, cfg.dt)
+    rng = np.random.default_rng(2018)
+    magnitudes = 10.0 ** rng.uniform(-320.0, 12.0, 4096)
+    cases = [
+        quiet_start,
+        state.theta,  # through saturation
+        rng.uniform(-1e3, 1e3, 4096),
+        np.concatenate([magnitudes, -magnitudes]),
+        np.array([0.0, 5e-324, -5e-324, math.pi, 1e300]),
+    ]
+    for theta in cases:
+        eith, b = dynamics._phase_factors(theta)
+        reference = np.exp(1j * theta)
+        assert np.array_equal(bits(eith), bits(reference))
+        assert np.array_equal(bits(b), bits(complex(pairwise_mean(reference))))
+    # not bitwise at -0.0: the imaginary part is sin(-0.0) = -0.0, while exp sees
+    # 1j*theta, whose imaginary part 0·0 + 1·(-0.0) rounds to +0.0
+    minus_zero = np.array([-0.0])
+    assert dynamics._phase_factors(minus_zero)[0] == np.exp(1j * minus_zero)
+
+
+def test_step_scratch_arrays_alias_no_kept_array():
+    s1 = step(init_ensemble(small_config(n_particles=64)), 0.01)
+    s2 = step(s1, 0.01)
+    s3 = step(s1, 0.01)
+    kept = [s1.theta, s1.p, s1.phases()[0], s2.theta, s2.p, s2.phases()[0]]
+    for i, a in enumerate(kept):
+        for other in kept[i + 1:]:
+            assert not np.shares_memory(a, other)
+    assert np.array_equal(bits(s1.phases()[0]), bits(dynamics._phase_factors(s1.theta)[0]))
+    for a, b in [(s2.theta, s3.theta), (s2.p, s3.p), (s2.phases()[0], s3.phases()[0]),
+                 (s2.bunching(), s3.bunching()), (s2.field, s3.field)]:
+        assert np.array_equal(bits(a), bits(b))
 
 
 def test_run_reaches_the_step_and_bunching_hooks(monkeypatch):
