@@ -8,8 +8,9 @@ the polarization.
 
 SCENARIO_FIELDS and SIM_FIELDS are the one place a config key is declared:
 they map it to its ScenarioConfig or SimConfig field, and parsing, the
-defaulted keys, the resolved echo and the CLI overrides all read them. The
-value ranges belong to ScenarioConfig.validate and SimConfig.
+defaulted keys and the resolved echo all read them. The CLI's overrides are
+raw entries laid over the file's, checked by the same code with the same
+messages. The value ranges belong to ScenarioConfig.validate and SimConfig.
 """
 
 from __future__ import annotations
@@ -211,8 +212,8 @@ def config_from_entries(entries: dict[str, str]) -> tuple[ScenarioConfig, list[s
     return cfg, defaulted
 
 
-def load_config(path: str | Path) -> tuple[ScenarioConfig, list[str]]:
-    """Parse and validate a config file; returns (config, defaulted keys)."""
+def read_entries(path: str | Path) -> dict[str, str]:
+    """Raw key -> value strings of a config file, unparsed."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -220,7 +221,12 @@ def load_config(path: str | Path) -> tuple[ScenarioConfig, list[str]]:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    return config_from_entries(parse_config_text(text, source=str(path)))
+    return parse_config_text(text, source=str(path))
+
+
+def load_config(path: str | Path) -> tuple[ScenarioConfig, list[str]]:
+    """Parse and validate a config file; returns (config, defaulted keys)."""
+    return config_from_entries(read_entries(path))
 
 
 def resolved_entries(cfg: ScenarioConfig) -> dict[str, object]:
