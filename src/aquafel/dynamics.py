@@ -14,7 +14,11 @@ polar form is kept only for the cross-check in polar_equivalence. The
 continuous system conserves <p> + |field|².
 
 Ensemble means use a fixed-order pairwise (tree) reduction so results
-are bitwise reproducible and accurate for large particle counts.
+are bitwise reproducible and accurate for large particle counts. Each
+level of the tree is one np.add into views of two scratch buffers, laid
+out once per array shape and dtype (_sum_plan). Every thread keeps its
+own plans, for one shape at a time: np.add releases the GIL, so threads
+sharing the scratch would corrupt each other's sums.
 
 step is Yoshida's fourth-order symmetric composition (the "triple
 jump", weights w1 = 1/(2 - 2^{1/3}) and w0 = -2^{1/3}·w1) of two exact
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 
@@ -61,18 +66,71 @@ class PolarSingularityError(RuntimeError):
     """Polar-form integration hit the amp -> 0 singularity."""
 
 
+#: pairwise_sum's plans, per thread: np.add releases the GIL, so two threads
+#: sharing one scratch buffer would overwrite each other's partial sums.
+_plans = threading.local()
+
+
 def pairwise_sum(values: np.ndarray):
-    """Fixed-order tree summation: deterministic and O(log N) error growth."""
+    """Fixed-order tree summation: deterministic and O(log N) error growth.
+
+    Level by level, element i becomes the sum of elements 2i and 2i+1; at an
+    odd length the last element is then added to element 0. Each level is one
+    np.add into scratch that _sum_plan lays out once per shape and dtype.
+    """
     acc = np.asarray(values)
-    while acc.shape[0] > 1:
-        if acc.shape[0] % 2 == 1:
-            head = acc[:-1]
-            tail = acc[-1]
-            acc = head[0::2] + head[1::2]
-            acc[0] = acc[0] + tail
-        else:
-            acc = acc[0::2] + acc[1::2]
-    return acc[0]
+    n = acc.shape[0]
+    if n < 2:
+        return acc[0]
+    try:
+        first, levels, last = _plans.by_key[acc.shape, acc.dtype]
+    except (AttributeError, KeyError):
+        first, levels, last = _sum_plan(acc.shape, acc.dtype)
+    even = n - n % 2
+    np.add(acc[0:even:2], acc[1:even:2], first)
+    if even < n:
+        first[0] += acc[even]
+    for left, right, out, fold in levels:
+        np.add(left, right, out)
+        if fold is not None:
+            head, odd = fold
+            np.add(head, odd, head)
+    # last[0] of a 1-D plan is already a new scalar; a row would be a view of scratch
+    return last[0] if last.ndim == 1 else last[0].copy()
+
+
+def _sum_plan(shape: tuple, dtype: np.dtype) -> tuple:
+    """pairwise_sum's views for inputs of this shape and dtype: (first, levels, last).
+
+    first receives the input's pair sums. Each further level is (left, right,
+    out, fold): out = left + right, then for an odd length fold = (out[:1], the
+    odd element), else None. last holds the total. The levels write alternately
+    into two buffers of n//2 and n//4 rows. This thread keeps the plans of one
+    shape, one per dtype, and every dtype of at most 16 bytes views the same
+    pair of complex buffers.
+    """
+    rows, rest = (shape[0] // 2, shape[0] // 4), shape[1:]
+    if getattr(_plans, "shape", None) != shape:
+        _plans.shape, _plans.by_key = shape, {}
+        _plans.buffers = [np.empty(r * math.prod(rest), complex) for r in rows]
+
+    def scratch(r, buf):
+        if dtype.hasobject or dtype.itemsize > buf.itemsize:
+            return np.empty((r,) + rest, dtype)
+        raw = buf.view(np.uint8)[:r * math.prod(rest) * dtype.itemsize]
+        return raw.view(dtype).reshape((r,) + rest)
+
+    half, quarter = map(scratch, rows, _plans.buffers)
+    levels, src = [], half
+    while src.shape[0] > 1:
+        length = src.shape[0]
+        even = length - length % 2
+        out = (quarter, half)[len(levels) % 2][:length // 2]
+        fold = (out[:1], src[even:]) if even < length else None
+        levels.append((src[0:even:2], src[1:even:2], out, fold))
+        src = out
+    plan = _plans.by_key[shape, dtype] = (half, levels, src)
+    return plan
 
 
 def pairwise_mean(values: np.ndarray):

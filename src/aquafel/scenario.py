@@ -13,7 +13,10 @@ The equations of motion are in scaled units, so the physical inputs
 (rho, P_z, T, n, delta_w) enter only through the rescaling by A_sat and
 t_gain. The integration therefore depends on the SimConfig alone, and
 _scaled_run keeps the last one: configs that differ only in physics share
-one integration, and its Trajectory arrays are read-only.
+one integration, and its Trajectory arrays are read-only. Its trajectory
+CSV is formatted once per integration: write_trajectory_csv keeps the
+text of the last read-only trajectory it wrote and writes those bytes
+again for the same trajectory.
 
 derive_chain, sweep and write_sweep_csv are plain float arithmetic. The
 integrator (dynamics) and numpy are imported only inside the functions
@@ -206,13 +209,38 @@ def write_summary(summary: dict, path: Path) -> None:
     path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
+#: (trajectory, its CSV bytes) of the last read-only trajectory written;
+#: replaced whole, so a reader sees one consistent pair.
+_kept_csv: tuple = (None, b"")
+
+
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
+    """Write traj as CSV_HEADER and one CSV_ROW per sample.
+
+    The text of a trajectory whose arrays are all read-only (the one that
+    _scaled_run keeps) is kept with it, so writing it for every config that
+    shares the integration formats it once. A writable trajectory is
+    formatted on every call.
+    """
+    global _kept_csv
+    kept, data = _kept_csv
+    frozen = not any(getattr(traj, f.name).flags.writeable for f in fields(traj))
+    if not (frozen and kept is traj):
+        data = _format_trajectory(traj)
+        if frozen:
+            _kept_csv = (traj, data)
+    Path(path).write_bytes(data)
+
+
+def _format_trajectory(traj: Trajectory) -> bytearray:
     import numpy as np
 
     columns = np.column_stack([getattr(traj, f.name) for f in fields(traj)])
-    with Path(path).open("w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        fh.writelines(CSV_ROW % tuple(row.tolist()) for row in columns)
+    row = CSV_ROW.encode()
+    text = bytearray(CSV_HEADER.encode() + b"\n")
+    for values in columns:
+        text += row % tuple(values.tolist())
+    return text
 
 
 def read_trajectory_csv(path: str | Path) -> Trajectory:

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -492,6 +494,79 @@ def test_pairwise_sum_matches_exact_sum():
     for n in (1, 2, 3, 17, 1024, 1000):
         values = rng.normal(0.0, 1.0, n)
         assert pairwise_sum(values) == pytest.approx(math.fsum(values), abs=1e-12)
+
+
+def halving_sum(values):
+    """The reference order: a fresh array per level, the odd element added to element 0."""
+    acc = np.asarray(values)
+    while acc.shape[0] > 1:
+        if acc.shape[0] % 2 == 1:
+            head = acc[:-1]
+            tail = acc[-1]
+            acc = head[0::2] + head[1::2]
+            acc[0] = acc[0] + tail
+        else:
+            acc = acc[0::2] + acc[1::2]
+    return acc[0]
+
+
+def wide_values(rng, shape, dtype):
+    """Normal deviates scaled by 10^u, u uniform on [-300, 300]; sums may overflow."""
+    def part():
+        return rng.normal(0.0, 1.0, shape) * 10.0 ** rng.uniform(-300.0, 300.0, shape)
+    return part() + 1j * part() if dtype is complex else part()
+
+
+def same_bits(a, b):
+    return type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_pairwise_sum_is_the_halving_loop_bit_for_bit():
+    rng = np.random.default_rng(29)
+    lengths = list(range(1, 71)) + [m for k in range(7, 16)
+                                    for m in (2**k - 1, 2**k, 2**k + 1)] + [30001]
+    # shuffled, so that lengths and dtypes interleave and each call may evict the plans
+    cases = [(n, dtype) for n in lengths for dtype in (float, complex)] * 2
+    rng.shuffle(cases)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, dtype in cases:
+            values = wide_values(rng, n, dtype)
+            assert same_bits(pairwise_sum(values), halving_sum(values)), (n, dtype)
+        # rows sum elementwise, and the total is not a view of the scratch
+        rows = wide_values(rng, (37, 3), complex)
+        total = pairwise_sum(rows)
+        assert total.tobytes() == halving_sum(rows).tobytes()
+        pairwise_sum(2.0 * rows)
+        assert total.tobytes() == halving_sum(rows).tobytes()
+
+
+def test_pairwise_sum_threads_do_not_share_scratch():
+    # four threads contend for the cores and switch every microsecond
+    workers, repeats = 4, 300
+    rng = np.random.default_rng(31)
+    arrays = [np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 2**16)) for _ in range(workers)]
+    expected = [pairwise_sum(values) for values in arrays]
+    start = threading.Barrier(workers, timeout=60)
+    results = [[] for _ in range(workers)]
+
+    def worker(k):
+        start.wait()
+        results[k] = [pairwise_sum(arrays[k]) for _ in range(repeats)]
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for want, got in zip(expected, results):
+        assert len(got) == repeats
+        assert all(same_bits(total, want) for total in got)
 
 
 # --- validity ------------------------------------------------------------------

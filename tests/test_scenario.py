@@ -210,6 +210,63 @@ def test_failed_integration_is_not_kept(run_calls):
     assert len(run_calls) == 2
 
 
+@pytest.fixture
+def formats(monkeypatch):
+    """Trajectories that write_trajectory_csv formatted."""
+    calls = []
+
+    def counted(traj, _original=scenario._format_trajectory):
+        calls.append(traj)
+        return _original(traj)
+
+    monkeypatch.setattr(scenario, "_format_trajectory", counted)
+    return calls
+
+
+def csv_of_run_scenario(cfg, out):
+    cfg.output_dir = out
+    return run_scenario(cfg).trajectory_path.read_bytes()
+
+
+def fresh_csv(sim, path):
+    """The CSV of a fresh integration of sim, whose arrays are writable."""
+    write_trajectory_csv(dynamics.run(sim)[0], path)
+    return path.read_bytes()
+
+
+def test_shared_trajectory_is_formatted_once(run_calls, formats, tmp_path):
+    points = [("1e16", "1e-8"), ("1e17", "1e-7"), ("1.3e17", "4.9e-7"), ("1e18", "1e-6")]
+    written = [csv_of_run_scenario(memo_config(rho=rho, P_z=pz), tmp_path / f"cfg{k}")
+               for k, (rho, pz) in enumerate(points)]
+    assert (len(run_calls), len(formats)) == (1, 1)
+    assert written == [fresh_csv(memo_config().sim, tmp_path / "fresh.csv")] * len(points)
+
+
+def test_mutated_writable_trajectory_writes_its_new_values(run_calls, formats, tmp_path):
+    path = tmp_path / "traj.csv"
+    fresh = dynamics.run(memo_config().sim)[0]
+    kept = run_scenario(memo_config()).trajectory
+    for traj in (fresh, kept):
+        write_trajectory_csv(traj, path)
+        before = path.read_bytes()
+        # the kept trajectory, once made writable again, is no longer served from the memo
+        traj.amp.flags.writeable = True
+        traj.amp[0] = 0.5
+        write_trajectory_csv(traj, path)
+        assert path.read_bytes() != before
+        assert read_trajectory_csv(path).amp[0] == 0.5
+    assert len(formats) == 4
+
+
+def test_another_sim_config_never_gets_the_kept_csv(run_calls, formats, tmp_path):
+    written = {seed: csv_of_run_scenario(memo_config(seed=seed), tmp_path / seed)
+               for seed in ("1", "2")}
+    assert len(formats) == 2
+    assert written["1"] != written["2"]
+    for seed, text in written.items():
+        assert text == fresh_csv(memo_config(seed=seed).sim, tmp_path / "fresh.csv")
+
+
 def test_mechanism_off_scenario(tmp_path):
     cfg, _ = config_from_entries({"rho": "1e17", "P_z": "0", "particles": "64"})
     cfg.output_dir = tmp_path
