@@ -315,7 +315,10 @@ def step(state: EnsembleState, dt: float) -> EnsembleState:
             # the last phases are kept by the returned state, so they get their own array
             eith, b = _phase_factors(theta, scratch if i < len(_DRIFTS) - 1 else None)
         field = _kick(eith, b, p, field, _KICKS[-1] * dt, scratch, work)
-    _require_finite(theta, p, field, state.tau)
+    # b is the mean of cos and sin of the final theta, each NaN at an infinite or NaN
+    # theta and bounded by 1 at a finite one: b is finite exactly when every theta is
+    if not (cmath.isfinite(b) and np.isfinite(p).all() and cmath.isfinite(field)):
+        raise NumericalBlowupError(f"non-finite state after step at tau={state.tau!r}")
     # the caller assigns tau from the step index
     out = EnsembleState(theta=theta, p=p, field=field, tau=state.tau)
     out._phases = (eith, b)
@@ -341,7 +344,7 @@ def run(config: SimConfig) -> tuple[Trajectory, Diagnostics]:
             if not math.isfinite(conserved):  # |field|^2 overflows before field does
                 raise NumericalBlowupError(f"non-finite <p> + |field|^2 at tau={s.tau!r}")
             rows.append((s.tau, s.amp, s.phi, b.real, b.imag, pm, conserved))
-            p_max_abs = max(p_max_abs, float(np.max(np.abs(s.p))))
+            p_max_abs = max(p_max_abs, float(np.abs(s.p).max()))
     traj = Trajectory(*np.array(rows).T)
     return traj, _diagnose(traj, config, p_max_abs)
 
@@ -383,10 +386,9 @@ def _fit_growth_rate(tau: np.ndarray, amp: np.ndarray, seed_amp: float) -> float
 
 def _first_local_max(amp: np.ndarray) -> int | None:
     """Index of the first 3-point-stencil local maximum, or None."""
-    for k in range(1, amp.shape[0] - 1):
-        if amp[k] >= amp[k - 1] and amp[k] > amp[k + 1]:
-            return k
-    return None
+    inner = amp[1:-1]
+    peaks = np.flatnonzero((inner >= amp[:-2]) & (inner > amp[2:]))
+    return int(peaks[0]) + 1 if peaks.size else None
 
 
 # --- polar-form cross check -------------------------------------------------

@@ -98,34 +98,57 @@ def gain_grid(n: int, delta_n_bar: float, rho, P_z, rotor: RigidRotor, mu: float
     """Yield, for each rho in order, the list of (alpha, beta, A_sat, t_gain, c_A,
     c_t) at (rho, P_z[j]) for every P_z.
 
-    Plain float arithmetic, point by point in rho-major order; gain_coefficients
-    is this at one point, so every grid point has its bits. Where P_z or
-    delta_n_bar is 0 the mechanism is off, as gain_coefficients describes. The
-    first point with an invalid rho or P_z, or with scales beyond the float
-    range, raises ValueError when it is reached; nothing warns.
+    Plain float arithmetic with the operations and operand order of a point by
+    point evaluation, so every grid point has the bits of gain_coefficients at
+    that point. What depends on one axis is computed once for it: per P_z
+    column its validity, d_eff = d0_tilde·P_z, alpha and P_z^(1/3), P_z^(2/3);
+    per rho row its validity, beta's prefix k_beta·rho·delta_n_bar and
+    rho^(1/3), rho^(2/3). Per point are left beta, A_sat, t_gain, c_A, c_t and
+    their range checks. Where P_z or delta_n_bar is 0 the mechanism is off, as
+    gain_coefficients describes. The first point in rho-major order with an
+    invalid rho or P_z, or with scales beyond the float range, raises
+    ValueError when it is reached; an empty axis raises nothing, and nothing warns.
     """
     k_alpha, n_I = _SQRT3 * delta_n_bar * rotor.omega_c, n * rotor.I_ave
     k_beta, d0_tilde = mu * CODATA2018.c**2, rotor.d0_tilde
+    two_sqrt3, inf = 2.0 * _SQRT3, math.inf
+    # (P_z, d_eff, alpha, P_z^(1/3), P_z^(2/3)); alpha is None where the column is
+    # mechanism-off, and d_eff too where P_z is invalid
+    columns = []
+    for p in P_z:
+        if not _pz_ok(p):
+            columns.append((p, None, None, None, None))
+        elif p == 0.0 or delta_n_bar == 0.0:
+            columns.append((p, 0.0, None, None, None))
+        else:
+            d_eff = d0_tilde * p
+            columns.append((p, d_eff, k_alpha * d_eff / n_I, p ** (1.0 / 3.0),
+                            p ** (2.0 / 3.0)))
     for r in rho:
+        if not columns:
+            yield []
+            continue
+        if not _rho_ok(r):  # the row's first point is the first bad one
+            raise _bad_point(n, delta_n_bar, r, columns[0][0], rotor, mu)
+        k_r = k_beta * r * delta_n_bar
+        r_third, r_two_thirds = r ** (1.0 / 3.0), r ** (2.0 / 3.0)
         row = []
-        for p in P_z:
-            if not (_rho_ok(r) and _pz_ok(p)):
-                raise _bad_point(n, delta_n_bar, r, p, rotor, mu)
-            if p == 0.0 or delta_n_bar == 0.0:
+        for p, d_eff, alpha, p_third, p_two_thirds in columns:
+            if alpha is None:
+                if d_eff is None:
+                    raise _bad_point(n, delta_n_bar, r, p, rotor, mu)
                 row.append(_MECHANISM_OFF)
                 continue
-            d_eff = d0_tilde * p
-            alpha = k_alpha * d_eff / n_I
-            beta = k_beta * r * delta_n_bar * d_eff / (2.0 * _SQRT3)
+            beta = k_r * d_eff / two_sqrt3
             try:
                 A_sat = (alpha / (2.0 * beta**2)) ** (-1.0 / 3.0)
                 t_gain = (alpha * beta / 2.0) ** (-1.0 / 3.0)
-                c_A = A_sat / (r ** (2.0 / 3.0) * p ** (1.0 / 3.0))
+                c_A = A_sat / (r_two_thirds * p_third)
             except (ZeroDivisionError, OverflowError):  # an infinite or undefined scale
                 raise _bad_point(n, delta_n_bar, r, p, rotor, mu) from None
-            c_t = t_gain * r ** (1.0 / 3.0) * p ** (2.0 / 3.0)
-            if not (0.0 < A_sat < math.inf and 0.0 < t_gain < math.inf
-                    and 0.0 < c_A < math.inf and 0.0 < c_t < math.inf):
+            c_t = t_gain * r_third * p_two_thirds
+            if not (0.0 < A_sat < inf and 0.0 < t_gain < inf
+                    and 0.0 < c_A < inf and 0.0 < c_t < inf):
                 raise _bad_point(n, delta_n_bar, r, p, rotor, mu)
             row.append((alpha, beta, A_sat, t_gain, c_A, c_t))
         yield row

@@ -347,12 +347,13 @@ def sweep(rho_values, pz_values, n: int = 30, delta_w: float = DELTA_W_LIMIT_CYC
 
 
 def write_sweep_csv(grid: SweepGrid, path: Path) -> None:
-    """One row per point in rho-major order, each value as f"{v:.16e}", written one
-    rho row of the grid at a time; each rho and P_z is formatted once."""
+    """One row per point in rho-major order, each value as "%.16e" (the text of
+    f"{v:.16e}"), written one rho row of the grid at a time; each rho and P_z is
+    formatted once, and each line with one % operation."""
     pz_text = [f"{v:.16e}" for v in grid.P_z]
     with Path(path).open("w") as fh:
         fh.write(SWEEP_HEADER + "\n")
         for rho, A_row, t_row in zip(grid.rho, grid.A_sat, grid.t_gain):
-            head = f"{rho:.16e},"
-            fh.write("".join([f"{head}{pz},{a:.16e},{t:.16e}\n"
+            head = f"{rho:.16e}"
+            fh.write("".join(["%s,%s,%.16e,%.16e\n" % (head, pz, a, t)
                               for pz, a, t in zip(pz_text, A_row, t_row)]))

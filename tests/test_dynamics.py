@@ -201,6 +201,15 @@ def test_step_rejects_bad_dt_and_detects_blowup():
         step(huge, 0.01)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_step_detects_one_non_finite_phase(bad):
+    # the one bad theta makes the phase mean b non-finite, and through the kicks the field
+    state = uniform_state(n=8, field=0.1 + 0.0j)
+    state.theta[3] = bad
+    with pytest.raises(NumericalBlowupError, match="non-finite state after step"):
+        step(state, 0.01)
+
+
 def test_run_propagates_blowup():
     with pytest.raises(NumericalBlowupError):
         run(small_config(seed_amp=1e308, tau_end=0.5))
@@ -386,6 +395,24 @@ def test_growth_rate_of_a_window_with_one_sample_is_nan():
     # 2e-3 is the only amplitude in [10·seed, 0.1]: no line fits one point
     amp = np.array([1e-4, 2e-3, 0.5])
     assert math.isnan(_fit_growth_rate(np.arange(3.0), amp, 1e-4))
+
+
+def first_local_max_loop(amp):
+    """The reference scan: the first k with amp[k-1] <= amp[k] > amp[k+1]."""
+    for k in range(1, amp.shape[0] - 1):
+        if amp[k] >= amp[k - 1] and amp[k] > amp[k + 1]:
+            return k
+    return None
+
+
+def test_first_local_max_is_the_first_index_of_the_scan():
+    rng = np.random.default_rng(37)
+    for n in list(range(7)) + [50, 1000]:
+        for _ in range(40):
+            # few distinct values, so that plateaus and ties are common; NaN compares false
+            amp = rng.integers(0, 4, n).astype(float)
+            amp[rng.random(n) < 0.1] = math.nan
+            assert _first_local_max(amp) == first_local_max_loop(amp), amp
 
 
 def test_kicks_conserve_momentum_plus_field_energy_to_rounding(saturating_run):
