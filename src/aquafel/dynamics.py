@@ -16,8 +16,8 @@ continuous system conserves <p> + |field|².
 Ensemble means use a fixed-order pairwise (tree) reduction so results
 are bitwise reproducible and accurate for large particle counts. Each
 level of the tree is one np.add into views of two scratch buffers, laid
-out once per array shape and dtype (_sum_plan). Every thread keeps its
-own plans, for one shape at a time: np.add releases the GIL, so threads
+out once per 1-D length and dtype (_sum_plan). Every thread keeps its
+own plans, for one length at a time: np.add releases the GIL, so threads
 sharing the scratch would corrupt each other's sums.
 
 step is Yoshida's fourth-order symmetric composition (the "triple
@@ -72,20 +72,21 @@ _plans = threading.local()
 
 
 def pairwise_sum(values: np.ndarray):
-    """Fixed-order tree summation: deterministic and O(log N) error growth.
+    """Fixed-order tree summation of a 1-D array: deterministic and O(log N) error growth.
 
     Level by level, element i becomes the sum of elements 2i and 2i+1; at an
     odd length the last element is then added to element 0. Each level is one
-    np.add into scratch that _sum_plan lays out once per shape and dtype.
+    np.add into scratch that _sum_plan lays out once per length and dtype; an
+    N-D input of two or more rows does not fit it, and np.add raises ValueError.
     """
     acc = np.asarray(values)
     n = acc.shape[0]
     if n < 2:
         return acc[0]
     try:
-        first, levels, last = _plans.by_key[acc.shape, acc.dtype]
+        first, levels, last = _plans.by_key[n, acc.dtype]
     except (AttributeError, KeyError):
-        first, levels, last = _sum_plan(acc.shape, acc.dtype)
+        first, levels, last = _sum_plan(n, acc.dtype)
     even = n - n % 2
     np.add(acc[0:even:2], acc[1:even:2], first)
     if even < n:
@@ -95,32 +96,21 @@ def pairwise_sum(values: np.ndarray):
         if fold is not None:
             head, odd = fold
             np.add(head, odd, head)
-    # last[0] of a 1-D plan is already a new scalar; a row would be a view of scratch
-    return last[0] if last.ndim == 1 else last[0].copy()
+    return last[0]
 
 
-def _sum_plan(shape: tuple, dtype: np.dtype) -> tuple:
-    """pairwise_sum's views for inputs of this shape and dtype: (first, levels, last).
+def _sum_plan(n: int, dtype: np.dtype) -> tuple:
+    """pairwise_sum's views for 1-D inputs of length n and this dtype: (first, levels, last).
 
     first receives the input's pair sums. Each further level is (left, right,
     out, fold): out = left + right, then for an odd length fold = (out[:1], the
     odd element), else None. last holds the total. The levels write alternately
-    into two buffers of n//2 and n//4 rows. This thread keeps the plans of one
-    shape, one per dtype, and every dtype of at most 16 bytes views the same
-    pair of complex buffers.
+    into the plan's own two buffers of n//2 and n//4 elements. This thread
+    keeps the plans of one length, one per dtype.
     """
-    rows, rest = (shape[0] // 2, shape[0] // 4), shape[1:]
-    if getattr(_plans, "shape", None) != shape:
-        _plans.shape, _plans.by_key = shape, {}
-        _plans.buffers = [np.empty(r * math.prod(rest), complex) for r in rows]
-
-    def scratch(r, buf):
-        if dtype.hasobject or dtype.itemsize > buf.itemsize:
-            return np.empty((r,) + rest, dtype)
-        raw = buf.view(np.uint8)[:r * math.prod(rest) * dtype.itemsize]
-        return raw.view(dtype).reshape((r,) + rest)
-
-    half, quarter = map(scratch, rows, _plans.buffers)
+    if getattr(_plans, "n", None) != n:
+        _plans.n, _plans.by_key = n, {}
+    half, quarter = np.empty(n // 2, dtype), np.empty(n // 4, dtype)
     levels, src = [], half
     while src.shape[0] > 1:
         length = src.shape[0]
@@ -129,7 +119,7 @@ def _sum_plan(shape: tuple, dtype: np.dtype) -> tuple:
         fold = (out[:1], src[even:]) if even < length else None
         levels.append((src[0:even:2], src[1:even:2], out, fold))
         src = out
-    plan = _plans.by_key[shape, dtype] = (half, levels, src)
+    plan = _plans.by_key[n, dtype] = (half, levels, src)
     return plan
 
 
@@ -201,8 +191,6 @@ class Diagnostics:
     """
 
     bunching: complex
-    p_mean: float
-    conserved: float
     conserved_drift: float
     growth_rate_fit: float
     sat_peak: float
@@ -359,8 +347,6 @@ def _diagnose(traj: Trajectory, config: SimConfig, p_max_abs: float) -> Diagnost
         sat_peak, sat_tau, b_idx = float(amps[sat_idx]), float(traj.tau[sat_idx]), sat_idx
     return Diagnostics(
         bunching=complex(traj.bunch_re[b_idx], traj.bunch_im[b_idx]),
-        p_mean=float(traj.p_mean[-1]),
-        conserved=float(traj.conserved[-1]),
         conserved_drift=float(np.max(np.abs(traj.conserved - traj.conserved[0]))),
         growth_rate_fit=growth,
         sat_peak=sat_peak,

@@ -118,7 +118,6 @@ _Z_MATRIX_ELEMENT = dipole_matrix_element(1, 0, 0, 0, axis=3).real
 class MixedStates:
     """Field-mixed rotational eigenstates over the (|0,0>, |1,0>) basis."""
 
-    alpha: float
     amp_0: np.ndarray
     amp_1: np.ndarray
 
@@ -127,7 +126,6 @@ def mixed_states(alpha: float) -> MixedStates:
     """Rotate the (|0,0>, |1,0>) pair by the mixing angle alpha [rad]."""
     c, s = math.cos(alpha), math.sin(alpha)
     return MixedStates(
-        alpha=alpha,
         amp_0=np.array([c, s], dtype=complex),
         amp_1=np.array([-s, c], dtype=complex),
     )

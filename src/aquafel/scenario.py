@@ -178,8 +178,8 @@ def run_scenario(config: ScenarioConfig, defaulted: list[str] | None = None) -> 
             "sat_peak": _json_float(diag.sat_peak),
             "sat_tau": _json_float(diag.sat_tau),
             "bunching_at_sat": abs(diag.bunching),
-            "p_mean_final": diag.p_mean,
-            "conserved_final": diag.conserved,
+            "p_mean_final": float(traj.p_mean[-1]),
+            "conserved_final": float(traj.conserved[-1]),
             "conserved_drift": diag.conserved_drift,
             # NaN, like sat_peak and sat_tau, when no saturation peak was found
             "A0_at_sat_V_s_per_m": _json_float(diag.sat_peak * A_sat),

@@ -51,8 +51,6 @@ class SpinOperators:
 class SuperradiantPair:
     """Unnormalized cooperative amplitudes; phases enter via theta2 - theta1."""
 
-    theta1: float
-    theta2: float
     psi_g: np.ndarray
     psi_e: np.ndarray
 
@@ -96,7 +94,7 @@ def superradiant_pair(theta1: float, theta2: float) -> SuperradiantPair:
     psi_e = inv_sqrt2 * np.array(
         [inv_sqrt3 * np.exp(-1j * theta2), np.exp(-1j * theta1)], dtype=complex
     )
-    return SuperradiantPair(theta1=theta1, theta2=theta2, psi_g=psi_g, psi_e=psi_e)
+    return SuperradiantPair(psi_g=psi_g, psi_e=psi_e)
 
 
 def spin_expectation(pair: SuperradiantPair, which: str, axis: int) -> float:

@@ -559,12 +559,28 @@ def test_pairwise_sum_is_the_halving_loop_bit_for_bit():
         for n, dtype in cases:
             values = wide_values(rng, n, dtype)
             assert same_bits(pairwise_sum(values), halving_sum(values)), (n, dtype)
-        # rows sum elementwise, and the total is not a view of the scratch
-        rows = wide_values(rng, (37, 3), complex)
-        total = pairwise_sum(rows)
-        assert total.tobytes() == halving_sum(rows).tobytes()
-        pairwise_sum(2.0 * rows)
-        assert total.tobytes() == halving_sum(rows).tobytes()
+
+
+def test_pairwise_sum_rejects_rows():
+    rng = np.random.default_rng(37)
+    for dtype in (float, complex):
+        with pytest.raises(ValueError):
+            pairwise_sum(wide_values(rng, (37, 3), dtype))
+
+
+def test_pairwise_sum_plans_of_one_length_share_no_scratch():
+    n = 1001
+    pairwise_sum(np.ones(n))
+    pairwise_sum(np.ones(n, complex))
+    plans = {dtype: plan for (_, dtype), plan in dynamics._plans.by_key.items()}
+
+    def scratch(plan):
+        first, levels, _ = plan
+        return [first] + [out for _, _, out, _ in levels]
+
+    for real in scratch(plans[np.dtype(float)]):
+        for cplx in scratch(plans[np.dtype(complex)]):
+            assert not np.shares_memory(real, cplx)
 
 
 def test_pairwise_sum_threads_do_not_share_scratch():
