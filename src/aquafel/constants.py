@@ -10,11 +10,10 @@ summary can echo them without importing the quadrature (or numpy).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(NamedTuple):
     """SI constants bundle used by every derivation in the package.
 
     Attributes

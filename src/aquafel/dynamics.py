@@ -49,7 +49,7 @@ from __future__ import annotations
 import cmath
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from dataclasses import field as dataclass_field
 
 import numpy as np
@@ -76,12 +76,14 @@ def pairwise_sum(values: np.ndarray):
 
     Level by level, element i becomes the sum of elements 2i and 2i+1; at an
     odd length the last element is then added to element 0. Each level is one
-    np.add into scratch that _sum_plan lays out once per length and dtype; an
-    N-D input of two or more rows does not fit it, and np.add raises ValueError.
+    np.add into scratch that _sum_plan lays out once per length and dtype. An
+    empty, 0-d or N-D input raises ValueError.
     """
     acc = np.asarray(values)
+    if acc.ndim != 1 or acc.size == 0:
+        raise ValueError(f"pairwise_sum takes a non-empty 1-D array, got shape {acc.shape}")
     n = acc.shape[0]
-    if n < 2:
+    if n == 1:
         return acc[0]
     try:
         first, levels, last = _plans.by_key[n, acc.dtype]
@@ -177,6 +179,10 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.tau.shape[0]
+
+    def columns(self) -> list[np.ndarray]:
+        """The arrays in field order: the columns of a trajectory CSV."""
+        return [getattr(self, f.name) for f in fields(self)]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ table R_1..R_5 = 0.89, 0.70, 0.49, 0.30, 0.17.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import CODATA2018
 
@@ -22,8 +22,7 @@ D_G_WATER = 0.82e-10
 D_E_WATER = 0.2e-10
 
 
-@dataclass(frozen=True)
-class RigidRotor:
+class RigidRotor(NamedTuple):
     """Derived two-level rotor constants, all SI, from the CODATA2018 table.
 
     d_g, d_e are the input lengths [m]; I_ave [kg·m²] the average moment
@@ -43,8 +42,7 @@ class RigidRotor:
     d0_tilde: float
 
 
-@dataclass(frozen=True)
-class ThermalInversion:
+class ThermalInversion(NamedTuple):
     """Thermal ground/excited population difference for one solvation shell.
 
     delta_n_bar = (n/2)·tanh(E_split/(2·k_B·T)); energy_ratio is the

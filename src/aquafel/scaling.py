@@ -27,7 +27,7 @@ of it is plain float arithmetic: no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import CODATA2018
 from .rotor import RigidRotor
@@ -47,15 +47,7 @@ def _pz_ok(P_z: float) -> bool:
     return 0.0 <= P_z <= P_Z_MAX
 
 
-@dataclass(frozen=True)
-class SystemParams:
-    """Scenario-level inputs for the gain coefficients.
-
-    n: solvating molecules per ion; delta_n_bar: shell inversion;
-    rho: ion concentration [1/m³]; P_z: permanent polarization
-    (dimensionless, in [0, 1/(3*sqrt(3))]); mu: magnetic permeability.
-    """
-
+class _SystemFields(NamedTuple):
     n: int
     delta_n_bar: float
     rho: float
@@ -63,7 +55,20 @@ class SystemParams:
     rotor: RigidRotor
     mu: float
 
-    def __post_init__(self) -> None:
+
+class SystemParams(_SystemFields):
+    """Scenario-level inputs for the gain coefficients, checked when built.
+
+    n: solvating molecules per ion; delta_n_bar: shell inversion;
+    rho: ion concentration [1/m³]; P_z: permanent polarization
+    (dimensionless, in [0, 1/(3*sqrt(3))]); mu: magnetic permeability.
+    _make, and so _replace, builds through the same checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SystemParams:
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 1:
             raise ValueError("molecule count n must be >= 1")
         if not 0.0 <= self.delta_n_bar <= self.n:
@@ -76,10 +81,14 @@ class SystemParams:
             raise ValueError(f"P_z must lie in [0, {P_Z_MAX}], got {self.P_z!r}")
         if self.mu <= 0.0:
             raise ValueError("permeability mu must be positive")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> SystemParams:
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class GainCoefficients:
+class GainCoefficients(NamedTuple):
     """alpha/beta pair plus the derived saturation scales and prefactors."""
 
     alpha_coef: float

@@ -21,7 +21,9 @@ again for the same trajectory.
 derive_chain, sweep and write_sweep_csv are plain float arithmetic. The
 integrator (dynamics) and numpy are imported only inside the functions
 that integrate or read and write a trajectory, so `aquafel derive` and
-`aquafel sweep` never load them.
+`aquafel sweep` never load them. ScenarioResult, SlippageDiagnostic and
+SweepGrid are NamedTuples, and a trajectory's columns come from
+Trajectory.columns(), so this module does not import dataclasses either.
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .config import ConfigError, ScenarioConfig, SimConfig, resolved_entries
 from .constants import CODATA2018, GAUSS_LEGENDRE_ORDER, TRAPEZOID_ORDER
@@ -49,8 +50,7 @@ CSV_ROW = ",".join(["%.16e"] * len(CSV_HEADER.split(","))) + "\n"
 SWEEP_HEADER = "rho,P_z,A_sat,t_gain"
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     """Everything run_scenario produced, plus the output paths."""
 
     summary: dict
@@ -146,8 +146,8 @@ def _scaled_run(sim: SimConfig) -> tuple[Trajectory, Diagnostics]:
     from . import dynamics
 
     traj, diag = dynamics.run(sim)
-    for f in fields(traj):
-        getattr(traj, f.name).flags.writeable = False
+    for column in traj.columns():
+        column.flags.writeable = False
     return traj, diag
 
 
@@ -224,7 +224,7 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     """
     global _kept_csv
     kept, data = _kept_csv
-    frozen = not any(getattr(traj, f.name).flags.writeable for f in fields(traj))
+    frozen = not any(column.flags.writeable for column in traj.columns())
     if not (frozen and kept is traj):
         data = _format_trajectory(traj)
         if frozen:
@@ -235,7 +235,7 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
 def _format_trajectory(traj: Trajectory) -> bytearray:
     import numpy as np
 
-    columns = np.column_stack([getattr(traj, f.name) for f in fields(traj)])
+    columns = np.column_stack(traj.columns())
     row = CSV_ROW.encode()
     text = bytearray(CSV_HEADER.encode() + b"\n")
     for values in columns:
@@ -271,8 +271,7 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
 # --- slippage diagnostic ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SlippageDiagnostic:
+class SlippageDiagnostic(NamedTuple):
     """Radiation slippage vs bunch length for a candidate superradiant setup."""
 
     l_b: float
@@ -316,8 +315,7 @@ def slippage_check(l_b: float, l_g: float, v: float) -> SlippageDiagnostic:
 # --- parameter sweep ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepGrid:
+class SweepGrid(NamedTuple):
     """Axes rho, P_z and scales A_sat[i][j], t_gain[i][j] at (rho[i], P_z[j]),
     as lists of floats: one row per rho, so the rows are in rho-major order."""
 

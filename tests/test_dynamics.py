@@ -1,6 +1,5 @@
 """Integrator correctness: initialization, conservation, order, growth."""
 
-import dataclasses
 import math
 import sys
 import threading
@@ -74,16 +73,16 @@ def test_uniform_random_init_is_seed_deterministic():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        small_config(n_particles=1)
-    with pytest.raises(ValueError):
-        small_config(dt=0.0)
-    with pytest.raises(ValueError):
-        small_config(seed_amp=0.0)
-    with pytest.raises(ValueError):
-        small_config(init_mode="bunched")
-    with pytest.raises(ValueError):
-        small_config(record_stride=0)
+    # the constructor, _replace and _make run the same checks
+    valid = small_config()
+    for bad in (dict(n_particles=1), dict(dt=0.0), dict(dt=-1.0), dict(seed_amp=0.0),
+                dict(init_mode="bunched"), dict(record_stride=0)):
+        with pytest.raises(ValueError):
+            small_config(**bad)
+        with pytest.raises(ValueError):
+            valid._replace(**bad)
+        with pytest.raises(ValueError):
+            SimConfig._make({**valid._asdict(), **bad}.values())
 
 
 # --- derivatives --------------------------------------------------------------
@@ -507,7 +506,7 @@ def test_cold_beam_first_peak_is_universal(saturating_run):
     # far tighter than criterion 10's [0.7, 1.6]: the first peak of a quiet
     # start does not depend on N, the seed or dt at this resolution
     cfg, _, diag = saturating_run
-    _, other = run(dataclasses.replace(cfg, n_particles=1024, rng_seed=99))
+    _, other = run(cfg._replace(n_particles=1024, rng_seed=99))
     for d in (diag, other):
         assert abs(d.sat_peak - 1.1713253) <= 2e-6
         assert d.sat_tau == 12.96
@@ -566,6 +565,10 @@ def test_pairwise_sum_rejects_rows():
     for dtype in (float, complex):
         with pytest.raises(ValueError):
             pairwise_sum(wide_values(rng, (37, 3), dtype))
+    # one row, no element and no axis are not 1-D inputs either
+    for values in (np.ones((1, 3)), np.ones(0), np.array(1.0)):
+        with pytest.raises(ValueError, match="1-D"):
+            pairwise_sum(values)
 
 
 def test_pairwise_sum_plans_of_one_length_share_no_scratch():

@@ -1,5 +1,6 @@
 """Every import in src/aquafel, at module level or inside a function, is
-used in the scope that makes it, and the closed-form commands import no numpy."""
+used in the scope that makes it, and the closed-form commands import neither
+numpy nor dataclasses."""
 
 import ast
 import os
@@ -62,29 +63,39 @@ def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def commands_import_numpy(tmp_path, *argvs) -> bool:
-    """Whether numpy is loaded after aquafel.cli.main ran each argv in a fresh process."""
+#: What the closed-form commands never load: numpy, and dataclasses with the
+#: inspect module that it imports.
+HEAVY_MODULES = ("numpy", "dataclasses", "inspect")
+
+
+def commands_import(tmp_path, modules, *argvs) -> set[str]:
+    """Those of modules loaded after aquafel.cli.main ran each argv in a fresh process."""
     src = str(Path(aquafel.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = ("import sys\nfrom aquafel.cli import main\n"
               f"for argv in {list(argvs)!r}:\n    main(argv)\n"
-              "print('numpy' in sys.modules)\n")
+              f"print(sorted(set({list(modules)!r}) & set(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
 
 
-def test_derive_and_sweep_import_no_numpy(tmp_path):
-    # the closed forms are plain floats; numpy's import alone costs more than both
-    assert not commands_import_numpy(
-        tmp_path, ["derive"],
-        ["sweep", "--rhos", "1e16,1e17", "--pzs", "1e-8,1e-7", "--out", "out"])
+def test_closed_form_commands_import_no_numpy_or_dataclasses(tmp_path):
+    # the closed forms are plain floats and their records tuples; importing
+    # numpy, or dataclasses and inspect, costs more than the commands' own work
+    (tmp_path / "d.cfg").write_text("rho = 1.3e17\nP_z = 4.9e-7\n")
+    assert commands_import(
+        tmp_path, HEAVY_MODULES, ["derive"], ["derive", "--config", "d.cfg"],
+        ["sweep", "--rhos", "1e16,1e17", "--pzs", "1e-8,1e-7", "--out", "out"],
+        ["slippage", "--bunch-length", "1e-3", "--gain-length", "1", "--velocity", "150"],
+    ) == set()
     assert (tmp_path / "out" / "sweep.csv").is_file()
 
 
-def test_simulate_imports_numpy(tmp_path):
-    # the check above would pass vacuously if no command could load numpy
+def test_simulate_imports_numpy_and_dataclasses(tmp_path):
+    # the check above would pass vacuously if no command could load them
     (tmp_path / "s.cfg").write_text("rho = 1.3e17\nE0z = 100\nparticles = 64\ntau_end = 1\n")
-    assert commands_import_numpy(tmp_path, ["simulate", "--config", "s.cfg", "--out", "out"])
+    assert commands_import(tmp_path, HEAVY_MODULES,
+                           ["simulate", "--config", "s.cfg", "--out", "out"]) == set(HEAVY_MODULES)

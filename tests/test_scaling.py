@@ -1,6 +1,5 @@
 """Gain coefficients, saturation scales, universal prefactors, input checks."""
 
-import dataclasses
 import math
 import struct
 import sys
@@ -115,11 +114,17 @@ def test_params_reject_unusable_rho_and_inversion(field, value):
                    rotor=build_rotor(), mu=CODATA2018.mu0)
     with pytest.raises(ValueError, match=field):
         SystemParams(**{**entries, field: value})
+    # _replace and _make build through the same checks
+    valid = SystemParams(**entries)
+    with pytest.raises(ValueError, match=field):
+        valid._replace(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        SystemParams._make({**entries, field: value}.values())
 
 
 def test_ion_velocity_is_not_an_input():
     # neither saturation scale involves the ion velocity, so no field for it
-    names = {f.name for f in dataclasses.fields(SystemParams)}
+    names = set(SystemParams._fields)
     assert not names & {"v", "velocity", "ion_velocity"}
 
 
