@@ -82,7 +82,7 @@ def commands_import(tmp_path, modules, *argvs) -> set[str]:
     return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
 
 
-def test_closed_form_commands_import_no_numpy_or_dataclasses(tmp_path):
+def test_derive_and_sweep_import_no_numpy(tmp_path):
     # the closed forms are plain floats and their records tuples; importing
     # numpy, or dataclasses and inspect, costs more than the commands' own work
     (tmp_path / "d.cfg").write_text("rho = 1.3e17\nP_z = 4.9e-7\n")
@@ -94,7 +94,7 @@ def test_closed_form_commands_import_no_numpy_or_dataclasses(tmp_path):
     assert (tmp_path / "out" / "sweep.csv").is_file()
 
 
-def test_simulate_imports_numpy_and_dataclasses(tmp_path):
+def test_simulate_imports_numpy(tmp_path):
     # the check above would pass vacuously if no command could load them
     (tmp_path / "s.cfg").write_text("rho = 1.3e17\nE0z = 100\nparticles = 64\ntau_end = 1\n")
     assert commands_import(tmp_path, HEAVY_MODULES,
