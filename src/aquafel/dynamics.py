@@ -165,9 +165,15 @@ class EnsembleState:
         return float(pairwise_mean(self.p))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Recorded time series (one entry per recorded step)."""
+    """Recorded time series (one entry per recorded step).
+
+    A trajectory is a value: the arrays it is built from become read-only,
+    and it compares and hashes by identity. Code that sets an array's
+    writeable flag back on and changes it gets no guarantee from the
+    memos in scenario.
+    """
 
     tau: np.ndarray
     amp: np.ndarray
@@ -176,6 +182,10 @@ class Trajectory:
     bunch_im: np.ndarray
     p_mean: np.ndarray
     conserved: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in self.columns():
+            column.flags.writeable = False
 
     def __len__(self) -> int:
         return self.tau.shape[0]

@@ -11,19 +11,17 @@ exactly.
 
 The equations of motion are in scaled units, so the physical inputs
 (rho, P_z, T, n, delta_w) enter only through the rescaling by A_sat and
-t_gain. The integration therefore depends on the SimConfig alone, and
-_scaled_run keeps the last one: configs that differ only in physics share
-one integration, and its Trajectory arrays are read-only. Its trajectory
-CSV is formatted once per integration: write_trajectory_csv keeps the
-text of the last read-only trajectory it wrote and writes those bytes
-again for the same trajectory.
+t_gain. Two one-entry lru_caches rest on that: _scaled_run integrates
+once per SimConfig, so configs that differ only in physics share one
+trajectory, and _format_trajectory formats the CSV text once per
+trajectory, so each config that shares it writes the same bytes. Both
+are sound because a Trajectory is read-only from the moment it is built,
+and the files are the bytes a fresh integration would give.
 
 derive_chain, sweep and write_sweep_csv are plain float arithmetic. The
 integrator (dynamics) and numpy are imported only inside the functions
 that integrate or read and write a trajectory, so `aquafel derive` and
-`aquafel sweep` never load them. ScenarioResult, SlippageDiagnostic and
-SweepGrid are NamedTuples, and a trajectory's columns come from
-Trajectory.columns(), so this module does not import dataclasses either.
+`aquafel sweep` never load them.
 """
 
 from __future__ import annotations
@@ -138,29 +136,19 @@ def _json_float(x: float):
 
 @functools.lru_cache(maxsize=1)
 def _scaled_run(sim: SimConfig) -> tuple[Trajectory, Diagnostics]:
-    """dynamics.run(sim), kept for the next call with an equal SimConfig.
-
-    The arrays of the kept Trajectory are read-only, so no caller can
-    change what a later call returns. A run that raises is not kept.
-    """
+    """dynamics.run(sim); a run that raises is not kept."""
     from . import dynamics
 
-    traj, diag = dynamics.run(sim)
-    for column in traj.columns():
-        column.flags.writeable = False
-    return traj, diag
+    return dynamics.run(sim)
 
 
 def run_scenario(config: ScenarioConfig, defaulted: list[str] | None = None) -> ScenarioResult:
     """Full pipeline; writes summary.json and trajectory.csv under output_dir.
 
-    The physical scales come from derive_chain's summary. The scaled
-    integration comes from _scaled_run: one integration per distinct
-    SimConfig, so consecutive configs that differ only in physics reuse
-    it, and the returned trajectory's arrays are read-only. Its outputs
-    are the same bytes as from a fresh integration. With P_z = 0
-    the simulation is skipped (the scaled equations are degenerate) and
-    the summary records the mechanism-off outcome.
+    The physical scales come from derive_chain's summary and the scaled
+    integration from _scaled_run. With P_z = 0 the simulation is skipped
+    (the scaled equations are degenerate) and the summary records the
+    mechanism-off outcome.
     """
     summary = derive_chain(config, defaulted)
     derived = summary["derived"]
@@ -205,42 +193,23 @@ def run_scenario(config: ScenarioConfig, defaulted: list[str] | None = None) -> 
     return ScenarioResult(summary, traj, summary_path, trajectory_path)
 
 
-def write_summary(summary: dict, path: Path) -> None:
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+def write_summary(summary: dict, path: str | Path) -> None:
+    Path(path).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
-#: (trajectory, its CSV bytes) of the last read-only trajectory written;
-#: replaced whole, so a reader sees one consistent pair.
-_kept_csv: tuple = (None, b"")
+def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
+    """Write traj as CSV_HEADER and one CSV_ROW per sample."""
+    Path(path).write_bytes(_format_trajectory(traj))
 
 
-def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
-    """Write traj as CSV_HEADER and one CSV_ROW per sample.
-
-    The text of a trajectory whose arrays are all read-only (the one that
-    _scaled_run keeps) is kept with it, so writing it for every config that
-    shares the integration formats it once. A writable trajectory is
-    formatted on every call.
-    """
-    global _kept_csv
-    kept, data = _kept_csv
-    frozen = not any(column.flags.writeable for column in traj.columns())
-    if not (frozen and kept is traj):
-        data = _format_trajectory(traj)
-        if frozen:
-            _kept_csv = (traj, data)
-    Path(path).write_bytes(data)
-
-
-def _format_trajectory(traj: Trajectory) -> bytearray:
+@functools.lru_cache(maxsize=1)
+def _format_trajectory(traj: Trajectory) -> bytes:
     import numpy as np
 
-    columns = np.column_stack(traj.columns())
     row = CSV_ROW.encode()
-    text = bytearray(CSV_HEADER.encode() + b"\n")
-    for values in columns:
-        text += row % tuple(values.tolist())
-    return text
+    lines = [CSV_HEADER.encode() + b"\n"]
+    lines += [row % tuple(values) for values in np.column_stack(traj.columns()).tolist()]
+    return b"".join(lines)
 
 
 def read_trajectory_csv(path: str | Path) -> Trajectory:

@@ -1,8 +1,12 @@
 """Self-contained oracle battery for the exact-arithmetic layers.
 
-Each check recomputes a closed-form result through an independent route
-(quadrature vs analytic values, matrix arithmetic vs trigonometric
-closed forms) and reports the worst deviation. This is the one place
+Each check compares a derived value with a closed form and reports the
+worst deviation. Most recompute the result through an independent route
+(quadrature vs analytic values, matrix arithmetic vs trigonometric closed
+forms). Two do not: check_longitudinal_field_invariance and
+check_eq_ave_aggregation compare per_ion_ponderomotive with its own
+algebra, so they catch a change to that function but cannot catch a fault
+in the derivation it encodes. This is the one place
 where the derivations in spinstates and quadrature meet their closed forms:
 the functions themselves return the derived value unchecked, so a fault
 shows here as a FAIL line while the other checks still run. The CLI
@@ -129,6 +133,11 @@ def check_xi1_invariance() -> CheckResult:
 
 
 def check_longitudinal_field_invariance() -> CheckResult:
+    """per_ion_ponderomotive does not move with A_z when P_x = P_y = 0.
+
+    Not an independent route: per_ion_ponderomotive multiplies A_z by
+    P_x and P_y, so with both zero the invariance holds by its own algebra.
+    """
     rotor = build_rotor()
     rng = np.random.default_rng(779)
     base = per_ion_ponderomotive(
@@ -145,7 +154,11 @@ def check_longitudinal_field_invariance() -> CheckResult:
 
 
 def check_eq_ave_aggregation() -> CheckResult:
-    """delta_n_bar x per-molecule closed form (cos xi2 -> P_z) = shell energy."""
+    """delta_n_bar x per-molecule closed form (cos xi2 -> P_z) = shell energy.
+
+    Not an independent route: the per-molecule closed form here is the
+    product per_ion_ponderomotive computes, in another order.
+    """
     rotor = build_rotor()
     rng = np.random.default_rng(780)
     worst = 0.0
