@@ -169,10 +169,10 @@ class EnsembleState:
 class Trajectory:
     """Recorded time series (one entry per recorded step).
 
-    A trajectory is a value: the arrays it is built from become read-only,
-    and it compares and hashes by identity. Code that sets an array's
-    writeable flag back on and changes it gets no guarantee from the
-    memos in scenario.
+    A trajectory is a value: the arrays it is built from, and every array
+    they view, become read-only, and it compares and hashes by identity.
+    Code that sets an array's writeable flag back on and changes it gets
+    no guarantee from the memos in scenario.
     """
 
     tau: np.ndarray
@@ -184,8 +184,10 @@ class Trajectory:
     conserved: np.ndarray
 
     def __post_init__(self) -> None:
-        for column in self.columns():
-            column.flags.writeable = False
+        for array in self.columns():
+            while isinstance(array, np.ndarray):
+                array.flags.writeable = False
+                array = array.base
 
     def __len__(self) -> int:
         return self.tau.shape[0]

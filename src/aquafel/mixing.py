@@ -7,14 +7,17 @@ into the pair
     |mix1> = -sin(a)|0,0> + cos(a)|1,0>
 
 which carries a time-independent (permanent) dipole expectation along z,
-P_z = sin(2a)/(3*sqrt(3)). The transverse components P_x, P_y vanish by
-construction. The route from these states to P_z through the quadrature
-matrix element is quadrature.permanent_polarization; verify.py compares
-it with that closed form. For weak fields P_z is linear in the field
-with slope C_P = 4.9e-9 m/V, a published limit-cycle result adopted here
-as a fixed coefficient (valid up to ~1e7 V/m); the same applies to the
-stationary level-weight difference DELTA_W_LIMIT_CYCLE = 0.62. This
-module is plain float arithmetic and imports no numpy.
+P_z = sin(2a)/(3*sqrt(3)). P_z is the only component: the field mixes
+only the m = 0 states, between which n_x and n_y have no matrix element,
+so P_x = P_y = 0. Nor does P_z depend on the level weights: they scale it
+by w_minus + 3*w_plus, which their normalisation fixes at 1. The route
+from these states to P_z through the quadrature matrix element is
+quadrature.permanent_polarization(a); verify.py compares it with that
+closed form. For weak fields P_z is linear in the field with slope
+C_P = 4.9e-9 m/V, a published limit-cycle result adopted here as a fixed
+coefficient (valid up to ~1e7 V/m); the same applies to the stationary
+level-weight difference DELTA_W_LIMIT_CYCLE = 0.62. This module is plain
+float arithmetic and imports no numpy.
 """
 
 from __future__ import annotations

@@ -18,7 +18,10 @@ Spherical harmonics use the Condon-Shortley phase convention
 permanent_polarization is the quadrature route to the permanent
 polarization of the field-mixed pair (mixing.py has the physics): it
 builds P_z from the states and the quadrature value of <1,0|n_z|0,0>,
-and verify.py compares it with its closed form.
+and verify.py compares it with its closed form. The static field lies
+along z and mixes only |0,0> with |1,0>, whose n_x and n_y elements
+vanish, so P_z is the one component and alpha the one input: the level
+weights multiply the result by w_minus + 3·w_plus, which is 1.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import GAUSS_LEGENDRE_ORDER, TRAPEZOID_ORDER
-
-_WEIGHT_TOL = 1e-12
 
 
 def spherical_harmonic(l: int, m: int, theta, phi):
@@ -131,7 +132,7 @@ def mixed_states(alpha: float) -> MixedStates:
     )
 
 
-def permanent_polarization(alpha: float, w_plus: float, w_minus: float) -> float:
+def permanent_polarization(alpha: float) -> float:
     """Permanent z-polarization of the mixed stationary state.
 
     Evaluates the weighted expectation
@@ -139,17 +140,13 @@ def permanent_polarization(alpha: float, w_plus: float, w_minus: float) -> float
         P_z = (w_minus + 3 w_plus)/2 · <mix0|n_z|mix0>
             + (w_minus + 3 w_plus)/6 · <mix1|n_z|mix1>
 
-    with the quadrature value of <1,0|n_z|0,0>. The weights must satisfy
-    w_minus + 3·w_plus = 1, and given that constraint the result is
-    weight-independent: sin(2·alpha)/(3·sqrt(3)).
+    with the quadrature value of <1,0|n_z|0,0>. The level weights enter
+    only as w_minus + 3·w_plus, which their normalisation fixes at 1, so
+    the result is <mix0|n_z|mix0>/2 + <mix1|n_z|mix1>/6 for any weights:
+    sin(2·alpha)/(3·sqrt(3)).
     """
-    norm = w_minus + 3.0 * w_plus
-    if abs(norm - 1.0) > _WEIGHT_TOL:
-        raise ValueError(
-            f"level weights must satisfy w_minus + 3*w_plus = 1, got {norm!r}"
-        )
     states = mixed_states(alpha)
     n_z = np.array([[0.0, _Z_MATRIX_ELEMENT], [_Z_MATRIX_ELEMENT, 0.0]], dtype=complex)
     exp0 = float(np.real(np.vdot(states.amp_0, n_z @ states.amp_0)))
     exp1 = float(np.real(np.vdot(states.amp_1, n_z @ states.amp_1)))
-    return (norm / 2.0) * exp0 + (norm / 6.0) * exp1
+    return exp0 / 2.0 + exp1 / 6.0

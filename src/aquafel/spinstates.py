@@ -114,7 +114,7 @@ def free_energy_expectation(pair: SuperradiantPair, which: str, E_split: float) 
     amplitudes; the sum over the pair is -E_split/3.
     """
     psi = pair.state(which)
-    h = 0.5 * E_split * np.array([[1, 0], [0, -1]], dtype=complex)
+    h = E_split * energy_spins().s3
     return float(np.real(np.vdot(psi, h @ psi)))
 
 
@@ -179,22 +179,15 @@ def per_ion_ponderomotive(
     theta: float,
     delta: float,
     delta_n_bar: float,
-    polarization: tuple[float, float, float],
+    P_z: float,
     rotor: RigidRotor,
-    A_z: float = 0.0,
 ) -> float:
     """Orientation-aggregated interaction energy of one solvation shell [J].
 
-    The per-molecule frame factors average into the permanent
-    polarization vector: cos(xi2) aggregates to P_z and the sin(xi2)
-    channels aggregate to (P_x, P_y). A longitudinal field component A_z
-    couples only through the transverse components, which vanish for the
-    static-field-mixed stationary state, so it never contributes.
+    Summing ponderomotive_term over the shell, the ground state counts +1
+    and the excited state -1, so the molecules enter as the population
+    difference delta_n_bar, and their factor cos(xi2) averages to the
+    permanent polarization P_z, its only component (mixing.py).
     """
-    P_x, P_y, P_z = polarization
     coeff = delta_n_bar * rotor.omega_c * rotor.d0_tilde / (2.0 * _SQRT3)
-    transverse = A0 * P_z * math.sin(theta + phi0 + delta)
-    longitudinal = A_z * (
-        math.cos(theta + delta) * P_y - math.sin(theta + delta) * P_x
-    )
-    return coeff * (transverse + longitudinal)
+    return coeff * (A0 * P_z * math.sin(theta + phi0 + delta))

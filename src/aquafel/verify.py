@@ -1,17 +1,14 @@
 """Self-contained oracle battery for the exact-arithmetic layers.
 
 Each check compares a derived value with a closed form and reports the
-worst deviation. Most recompute the result through an independent route
+worst deviation, recomputing the result through an independent route
 (quadrature vs analytic values, matrix arithmetic vs trigonometric closed
-forms). Two do not: check_longitudinal_field_invariance and
-check_eq_ave_aggregation compare per_ion_ponderomotive with its own
-algebra, so they catch a change to that function but cannot catch a fault
-in the derivation it encodes. This is the one place
-where the derivations in spinstates and quadrature meet their closed forms:
-the functions themselves return the derived value unchecked, so a fault
-shows here as a FAIL line while the other checks still run. The CLI
-`verify` subcommand prints one line per check; the test suite asserts
-the same bounds.
+forms, a sum over explicit molecules vs the shell aggregate). This is the
+one place where the derivations in spinstates and quadrature meet their
+closed forms: the functions themselves return the derived value
+unchecked, so a fault shows here as a FAIL line while the other checks
+still run. The CLI `verify` subcommand prints one line per check; the
+test suite asserts the same bounds.
 """
 
 from __future__ import annotations
@@ -35,6 +32,8 @@ from .spinstates import (
 _SQRT3 = math.sqrt(3.0)
 #: Random draws of the two derivation-vs-closed-form checks.
 _DRAWS = 1000
+#: Random shells of the aggregation check, about 1000 molecules in all.
+_SHELLS = 50
 
 
 @dataclass(frozen=True)
@@ -132,51 +131,39 @@ def check_xi1_invariance() -> CheckResult:
     return _check("frame-angle xi1 invariance (relative spread)", spread, 1e-12)
 
 
-def check_longitudinal_field_invariance() -> CheckResult:
-    """per_ion_ponderomotive does not move with A_z when P_x = P_y = 0.
-
-    Not an independent route: per_ion_ponderomotive multiplies A_z by
-    P_x and P_y, so with both zero the invariance holds by its own algebra.
-    """
-    rotor = build_rotor()
-    rng = np.random.default_rng(779)
-    base = per_ion_ponderomotive(
-        1.0, 0.3, 1.7, 0.2, 18.6, (0.0, 0.0, 4.9e-7), rotor, A_z=0.0
-    )
-    worst = 0.0
-    for _ in range(50):
-        value = per_ion_ponderomotive(
-            1.0, 0.3, 1.7, 0.2, 18.6, (0.0, 0.0, 4.9e-7), rotor,
-            A_z=float(rng.uniform(-100.0, 100.0)),
-        )
-        worst = max(worst, abs(value - base))
-    return _check("longitudinal field component never contributes", worst, 0.0)
-
-
 def check_eq_ave_aggregation() -> CheckResult:
-    """delta_n_bar x per-molecule closed form (cos xi2 -> P_z) = shell energy.
+    """Shell energy vs ponderomotive_term summed over explicit molecules.
 
-    Not an independent route: the per-molecule closed form here is the
-    product per_ion_ponderomotive computes, in another order.
+    Each shell holds n_g molecules in the ground state and n_e in the
+    excited state, so delta_n_bar = n_g - n_e. Within each state they come
+    in pairs with dipole axes cos(xi2) = P_z ± d, so their mean cos(xi2) is
+    P_z; xi1 and d are random.
     """
     rotor = build_rotor()
     rng = np.random.default_rng(780)
+    scale0 = rotor.omega_c * rotor.d0_tilde
     worst = 0.0
-    for _ in range(100):
+    for _ in range(_SHELLS):
         A0 = float(rng.uniform(0.0, 2.0))
         phi0, theta, delta = (float(x) for x in rng.uniform(-6.0, 6.0, 3))
-        dn_bar = float(rng.uniform(0.0, 25.0))
         P_z = float(rng.uniform(0.0, 1.0 / (3.0 * _SQRT3)))
-        per_molecule = (
-            A0 * rotor.omega_c * rotor.d0_tilde * P_z
-            * math.sin(theta + phi0 + delta) / (2.0 * _SQRT3)
-        )
-        shell = per_ion_ponderomotive(
-            A0, phi0, theta, delta, dn_bar, (0.0, 0.0, P_z), rotor
-        )
-        scale = max(A0 * rotor.omega_c * rotor.d0_tilde * dn_bar, 1e-300)
-        worst = max(worst, abs(shell - dn_bar * per_molecule) / scale)
-    return _check("shell aggregation matches per-molecule closed form", worst, 1e-14)
+        pairs_g = int(rng.integers(1, 13))
+        pairs_e = int(rng.integers(0, pairs_g + 1))
+        total = 0.0
+        for which, n_pairs in (("g", pairs_g), ("e", pairs_e)):
+            for _ in range(n_pairs):
+                d = float(rng.uniform(0.0, 1.0 - P_z))
+                for cos_xi2 in (P_z + d, P_z - d):
+                    frame = make_frame(float(rng.uniform(0.0, math.pi)), math.acos(cos_xi2))
+                    total += ponderomotive_term(A0, phi0, theta, delta, frame, rotor, which)
+        n_g, n_e = 2 * pairs_g, 2 * pairs_e
+        shell = per_ion_ponderomotive(A0, phi0, theta, delta, n_g - n_e, P_z, rotor)
+        scale = max(A0 * scale0 * (n_g + n_e), 1e-300)
+        worst = max(worst, abs(shell - total) / scale)
+    return _check(
+        f"shell aggregation vs sum over molecules ({_SHELLS} shells, relative)",
+        worst, 1e-12,
+    )
 
 
 def check_free_energy_expectations() -> CheckResult:
@@ -196,8 +183,7 @@ def check_polarization_forms() -> CheckResult:
     worst = 0.0
     for _ in range(_DRAWS):
         alpha = float(rng.uniform(-math.pi, math.pi))
-        w_plus = float(rng.uniform(0.0, 1.0 / 3.0))
-        value = permanent_polarization(alpha, w_plus, 1.0 - 3.0 * w_plus)
+        value = permanent_polarization(alpha)
         worst = max(worst, abs(value - math.sin(2.0 * alpha) / (3.0 * _SQRT3)))
     return _check(
         f"weighted vs closed-form polarization ({_DRAWS} draws)", worst, 1e-12
@@ -210,7 +196,6 @@ ALL_CHECKS = (
     check_superradiant_geometry,
     check_ponderomotive_two_paths,
     check_xi1_invariance,
-    check_longitudinal_field_invariance,
     check_eq_ave_aggregation,
     check_free_energy_expectations,
     check_polarization_forms,

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import aquafel
-from aquafel import dynamics, quadrature, spinstates
+from aquafel import dynamics, quadrature, spinstates, verify
 from aquafel.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -63,25 +63,33 @@ def test_verify_passes(capsys):
 
 
 # Each case: a module attribute, the fault put into it (a relative error
-# of 1e-9), and the one check that must report it.
+# of 1e-9), and the checks that must report it, named without the
+# parenthesised draw counts; every other check must pass.
 _FAULT = 1.0 + 1e-9
 DERIVATION_FAULTS = {
     "z-matrix-element": (quadrature, "_Z_MATRIX_ELEMENT", lambda v: v * _FAULT,
-                         "weighted vs closed-form polarization"),
+                         {"weighted vs closed-form polarization"}),
     "spin-expectation": (spinstates, "spin_expectation",
                          lambda f: lambda *args: f(*args) * _FAULT,
-                         "ponderomotive numeric vs closed form"),
+                         {"ponderomotive numeric vs closed form",
+                          "shell aggregation vs sum over molecules"}),
+    "per-ion-prefactor": (verify, "per_ion_ponderomotive",
+                          lambda f: lambda *args: f(*args) * _FAULT,
+                          {"shell aggregation vs sum over molecules"}),
 }
 
 
 @pytest.mark.parametrize("case", list(DERIVATION_FAULTS), ids=list(DERIVATION_FAULTS))
 def test_verify_reports_a_faulty_derivation(monkeypatch, capsys, case):
-    module, name, fault, check = DERIVATION_FAULTS[case]
+    module, name, fault, checks = DERIVATION_FAULTS[case]
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
     assert main(["verify"]) == EXIT_VERIFY_FAILED
     out = capsys.readouterr().out
-    assert f"FAIL  {check}" in out
-    assert "8/9 checks passed" in out
+    failed = {line.removeprefix("FAIL  ").split(":")[0].split(" (")[0]
+              for line in out.splitlines() if line.startswith("FAIL  ")}
+    assert failed == checks
+    total = len(verify.ALL_CHECKS)
+    assert f"{total - len(checks)}/{total} checks passed" in out
 
 
 def test_simulate_writes_outputs(tmp_path, capsys):

@@ -256,17 +256,22 @@ def test_shared_trajectory_is_formatted_once(run_calls, formats, tmp_path):
     assert written == [fresh_csv(memo_config().sim, tmp_path / "fresh.csv")] * len(points)
 
 
-def test_every_trajectory_is_read_only(run_calls, tmp_path):
+def trajectories_built_four_ways(tmp_path, columns):
+    """A trajectory from each place one is made; the constructor gets columns."""
     path = tmp_path / "traj.csv"
     fresh = dynamics.run(memo_config().sim)[0]
     write_trajectory_csv(fresh, path)
-    columns = [np.arange(3.0) for _ in fields(Trajectory)]
-    built = {
+    return {
         "dynamics.run": fresh,
         "run_scenario": run_scenario(memo_config()).trajectory,
         "read_trajectory_csv": read_trajectory_csv(path),
         "constructor": Trajectory(*columns),
     }
+
+
+def test_every_trajectory_is_read_only(run_calls, tmp_path):
+    columns = [np.arange(3.0) for _ in fields(Trajectory)]
+    built = trajectories_built_four_ways(tmp_path, columns)
     for how, traj in built.items():
         for f in fields(Trajectory):
             with pytest.raises(ValueError, match="read-only"):
@@ -278,6 +283,16 @@ def test_every_trajectory_is_read_only(run_calls, tmp_path):
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 0.5
     assert built["constructor"] != Trajectory(*columns)
+
+
+def test_arrays_behind_the_columns_are_read_only(run_calls, tmp_path):
+    built = trajectories_built_four_ways(tmp_path, np.zeros((2, 7)).T)
+    for how, traj in built.items():
+        base = traj.amp.base
+        assert base is not None and base.ndim == 2, how
+        with pytest.raises(ValueError, match="read-only"):
+            base[0, 1] = 5.0
+        assert not base.flags.writeable, how
 
 
 def test_another_sim_config_never_gets_the_kept_csv(run_calls, formats, tmp_path):

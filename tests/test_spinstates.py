@@ -191,18 +191,9 @@ def test_ponderomotive_rejects_negative_amplitude(rotor):
 def test_per_ion_aggregate_matches_closed_coefficient(rotor):
     A0, phi0, theta, delta = 0.8, 0.2, 1.4, 0.5
     dn_bar, P_z = 18.6, 4.9e-7
-    value = per_ion_ponderomotive(A0, phi0, theta, delta, dn_bar, (0.0, 0.0, P_z), rotor)
+    value = per_ion_ponderomotive(A0, phi0, theta, delta, dn_bar, P_z, rotor)
     expected = (
         dn_bar * A0 * rotor.omega_c * rotor.d0_tilde * P_z
         * math.sin(theta + phi0 + delta) / (2.0 * SQRT3)
     )
     assert value == pytest.approx(expected, rel=1e-14)
-
-
-def test_longitudinal_field_never_contributes(rotor):
-    base = per_ion_ponderomotive(0.8, 0.2, 1.4, 0.5, 18.6, (0.0, 0.0, 4.9e-7), rotor)
-    for a_z in (-50.0, 1e-3, 7.7, 1e6):
-        value = per_ion_ponderomotive(
-            0.8, 0.2, 1.4, 0.5, 18.6, (0.0, 0.0, 4.9e-7), rotor, A_z=a_z
-        )
-        assert value == base
