@@ -25,9 +25,13 @@ jump", weights w1 = 1/(2 - 2^{1/3}) and w0 = -2^{1/3}·w1) of two exact
 flows:
 
     kick   theta frozen, so b = <e^{i·theta}> is constant over h:
-           p += h·(-2 Re((field + h·b/2)·e^{-i·theta})), field += h·b
+           p += h·_force(field + h·b/2), field += h·b
            (conserves <p> + |field|² to rounding)
     drift  theta += h·p
+
+where _force(c) = -2 Re(c·e^{-i·theta}) is the pendulum force of a field c
+on each phase. It is the module's one force: derivative takes it at c =
+field, so the kicks and the RK4 cross-check below share it bit for bit.
 
 Both flows are exact, so the composition is symplectic and the second
 first integral <p²>/2 - 2 Im(field·conj(b)) does not drift secularly.
@@ -36,12 +40,13 @@ kick of the next share e^{i·theta}, which each EnsembleState keeps with b
 (EnsembleState.phases). A step therefore evaluates the phases
 (_phase_factors: cos and sin into one complex array, and one pairwise
 mean) 3 times, and a recorded bunching factor is the cached b, at no
-extra evaluation. The first two of those evaluations, the kicks' products
-and forces, and the drifts' increments go into two scratch arrays that
-the step allocates once; only the phases it keeps are a new array.
+extra evaluation. The first two of those evaluations, the kicks' products,
+and the kicks' and drifts' increments go into two scratch arrays that the
+step allocates once; only the phases it keeps are a new array.
 
 Classical RK4 (_rk4) remains for one purpose: polar_equivalence advances
-the complex and polar forms with it in lockstep.
+the complex form (through derivative) and the polar form with it in
+lockstep.
 """
 
 from __future__ import annotations
@@ -161,9 +166,6 @@ class EnsembleState:
         """<e^{i·theta}>, the b of phases()."""
         return self.phases()[1]
 
-    def p_mean(self) -> float:
-        return float(pairwise_mean(self.p))
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -240,12 +242,18 @@ def init_ensemble(config: SimConfig) -> EnsembleState:
 
 def derivative(state: EnsembleState) -> tuple[np.ndarray, np.ndarray, complex]:
     """(dtheta, dp, dfield) of the complex-field equations of motion."""
-    return _derivative_arrays(state.theta, state.p, state.field)
+    eith, b = _phase_factors(state.theta)
+    return state.p, _force(state.field, eith), b
 
 
-def _derivative_arrays(theta, p, field):
-    eith, b = _phase_factors(theta)
-    return p, -2.0 * (field * np.conj(eith)).real, b
+def _force(c: complex, eith: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The pendulum force -2 Re(c·e^{-i·theta}) of the field c on each phase.
+
+    Formed as Re(conj(-2c)·e^{i·theta}), the same bits, so no array is conjugated
+    or scaled; out (which may be eith) takes the complex product, and the force
+    is a view of its real part.
+    """
+    return np.multiply(complex(-2.0 * c.real, 2.0 * c.imag), eith, out=out).real
 
 
 def _phase_factors(theta: np.ndarray,
@@ -284,17 +292,13 @@ _KICKS = (0.5 * _W1, 0.5 * (_W1 + _W0), 0.5 * (_W0 + _W1), 0.5 * _W1)
 
 
 def _kick(eith: np.ndarray, b: complex, p: np.ndarray, field: complex, h: float,
-          prod: np.ndarray, force: np.ndarray) -> complex:
+          prod: np.ndarray, work: np.ndarray) -> complex:
     """Exact flow over h with the phases frozen: the momenta take, in place, h times
-    the force of the field's mean over h (formed before scaling by h, so a field
-    near the largest double overflows as in _derivative_arrays); returns the field
-    moved by h·b. prod (which may be eith) and force are scratch for the complex
-    product and the force."""
-    # Re(conj(c)·e^{i·theta}) equals Re(c·e^{-i·theta}) bit for bit and conjugates no array
-    np.multiply((field + (0.5 * h) * b).conjugate(), eith, out=prod)
-    np.multiply(prod.real, -2.0, out=force)
-    force *= h
-    p += force
+    the _force of the field's mean over h (the force is formed before the scaling by
+    h, as in derivative); returns the field moved by h·b. prod (which may be eith)
+    and work are scratch for the complex product and the increment."""
+    np.multiply(_force(field + (0.5 * h) * b, eith, out=prod), h, out=work)
+    p += work
     return field + h * b
 
 
@@ -311,7 +315,7 @@ def step(state: EnsembleState, dt: float) -> EnsembleState:
     theta, p, field = state.theta.copy(), state.p.copy(), state.field
     with np.errstate(over="ignore", invalid="ignore"):
         eith, b = state.phases()
-        # scratch is the inner phases and every kick's product; work the forces and increments
+        # scratch is the inner phases and every kick's product; work every increment
         scratch = np.empty_like(eith)
         work = np.empty_like(p)
         for i, (kick, drift) in enumerate(zip(_KICKS, _DRIFTS)):
@@ -345,7 +349,7 @@ def run(config: SimConfig) -> tuple[Trajectory, Diagnostics]:
             s.tau = i * config.dt
         if i % config.record_stride == 0 or i == config.n_steps:
             b = s.bunching()
-            pm = s.p_mean()
+            pm = float(pairwise_mean(s.p))
             conserved = pm + s.amp * s.amp
             if not math.isfinite(conserved):  # |field|^2 overflows before field does
                 raise NumericalBlowupError(f"non-finite <p> + |field|^2 at tau={s.tau!r}")
@@ -418,13 +422,16 @@ def polar_equivalence(config: SimConfig) -> float:
     with the same RK4 combine (_rk4), so the deviation measures the
     formulations and not the integrator; it is sampled once per step.
     """
+    def complex_derivative(theta, p, field):
+        return derivative(EnsembleState(theta, p, field, 0.0))
+
     start = init_ensemble(config)
     cplx = (start.theta, start.p, start.field)
     polar = (start.theta, start.p, start.amp, start.phi)
     max_dev = 0.0
     for i in range(config.n_steps):
         with np.errstate(over="ignore", invalid="ignore"):
-            cplx = _rk4(_derivative_arrays, cplx, config.dt)
+            cplx = _rk4(complex_derivative, cplx, config.dt)
         _require_finite(*cplx, i * config.dt)
         polar = _rk4(polar_derivative, polar, config.dt)
         dev = abs(polar[2] * np.exp(-1j * polar[3]) - cplx[2])

@@ -23,17 +23,14 @@ D_E_WATER = 0.2e-10
 
 
 class RigidRotor(NamedTuple):
-    """Derived two-level rotor constants, all SI, from the CODATA2018 table.
+    """Derived two-level rotor constants, all SI, from D_G_WATER, D_E_WATER and CODATA2018.
 
-    d_g, d_e are the input lengths [m]; I_ave [kg·m²] the average moment
-    of inertia; E_split [J] the l=0 -> l=1 energy splitting; omega_c
-    [rad/s] the resonance angular frequency; l_c [m] the resonant
-    wavelength; d0 and d0_tilde [C·m] the bare and two-level-reduced
-    dipole moments (d0_tilde = d0·sqrt(2/3)).
+    I_ave [kg·m²] is the average moment of inertia; E_split [J] the l=0 ->
+    l=1 energy splitting; omega_c [rad/s] the resonance angular frequency;
+    l_c [m] the resonant wavelength; d0 and d0_tilde [C·m] the bare and
+    two-level-reduced dipole moments (d0_tilde = d0·sqrt(2/3)).
     """
 
-    d_g: float
-    d_e: float
     I_ave: float
     E_split: float
     omega_c: float
@@ -53,24 +50,14 @@ class ThermalInversion(NamedTuple):
     energy_ratio: float
 
 
-def build_rotor(d_g: float = D_G_WATER, d_e: float = D_E_WATER) -> RigidRotor:
-    """Derive all two-level rotor constants from the geometry lengths and CODATA2018.
-
-    Parameters
-    ----------
-    d_g, d_e : float
-        Rotor-arm and dipole lengths [m]; must be positive.
-    """
-    if d_g <= 0.0 or d_e <= 0.0:
-        raise ValueError("rotor lengths d_g, d_e must be positive")
-    I_ave = 2.0 * CODATA2018.m_p * d_g**2
+def build_rotor() -> RigidRotor:
+    """Derive all two-level rotor constants from the water lengths and CODATA2018."""
+    I_ave = 2.0 * CODATA2018.m_p * D_G_WATER**2
     E_split = CODATA2018.hbar**2 / I_ave
     omega_c = E_split / CODATA2018.hbar
     l_c = 2.0 * math.pi * CODATA2018.c / omega_c
-    d0 = 2.0 * CODATA2018.e_charge * d_e
+    d0 = 2.0 * CODATA2018.e_charge * D_E_WATER
     return RigidRotor(
-        d_g=d_g,
-        d_e=d_e,
         I_ave=I_ave,
         E_split=E_split,
         omega_c=omega_c,

@@ -337,6 +337,22 @@ def test_linear_regime_matches_closed_form():
     assert np.max(np.abs(field - expected) / np.abs(expected)) < 1e-6
 
 
+@pytest.mark.parametrize("n_particles", [512, 16384])
+def test_linear_regime_amplitude_is_the_closed_form_to_second_order(n_particles):
+    # every step through the first pass of amp = 1e-2: the deviation from the exact
+    # linear solution is its first nonlinear term, about 0.18·amp² (1.80e-5 at the
+    # end at both N); a coupling of -2.0002 in the kick leaves it at 1.73e-4
+    cfg = small_config(n_particles=n_particles, tau_end=7.0, rng_seed=12345, record_stride=1)
+    start = init_ensemble(cfg)
+    traj, _ = run(cfg)
+    assert traj.amp.max() > 1e-2
+    end = int(np.argmax(traj.amp > 1e-2))
+    amp = traj.amp[:end]
+    expected = linear_field(traj.tau[:end], start.field, start.bunching(), 0.0)
+    deviation = np.abs(amp / np.abs(expected) - 1.0)
+    assert np.all(deviation <= 1e-6 + 0.25 * amp**2)
+
+
 def test_second_first_integral_is_conserved():
     # H = <p^2>/2 - 2 Im(A conj(b)) is conserved besides <p> + |A|^2
     def hamiltonian(s):
@@ -376,6 +392,20 @@ def rk4_fields(cfg):
         y = _rk4(deriv, y, cfg.dt)
         fields.append(y[2])
     return np.array(fields)
+
+
+def test_a_kick_is_the_derivative_force_at_the_mid_field():
+    # the integrator's kicks and the RK4 cross-check's derivative share one force
+    rng = np.random.default_rng(777)
+    n, h = 777, 0.0123
+    theta, p = rng.uniform(0.0, 2.0 * math.pi, n), rng.normal(0.0, 0.3, n)
+    field = 0.3 + 0.2j
+    eith, b = dynamics._phase_factors(theta)
+    kicked = p.copy()
+    moved = dynamics._kick(eith, b, kicked, field, h, np.empty_like(eith), np.empty_like(p))
+    mid = EnsembleState(theta, p, field + (0.5 * h) * b, 0.0)
+    assert np.array_equal(bits(kicked), bits(p + h * derivative(mid)[1]))
+    assert np.array_equal(bits(moved), bits(field + h * b))
 
 
 def test_run_matches_rk4_through_saturation(saturating_run):

@@ -7,6 +7,8 @@ from numpy.testing import assert_allclose
 
 from aquafel.constants import CODATA2018
 from aquafel.rotor import (
+    D_E_WATER,
+    D_G_WATER,
     build_rotor,
     population_ratio,
     rotational_level_energy,
@@ -25,7 +27,7 @@ def rotor():
 
 
 def test_moment_of_inertia_is_direct_arithmetic(rotor):
-    assert_allclose(rotor.I_ave, 2.0 * CODATA2018.m_p * rotor.d_g**2, rtol=1e-15)
+    assert_allclose(rotor.I_ave, 2.0 * CODATA2018.m_p * D_G_WATER**2, rtol=1e-15)
     assert_allclose(rotor.I_ave, 2.2493419629783125e-47, rtol=1e-12)
 
 
@@ -41,7 +43,7 @@ def test_resonant_wavelength_near_400_um(rotor):
 def test_reduced_dipole_ratio(rotor):
     assert rotor.d0_tilde / rotor.d0 == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-15)
     assert rotor.d0_tilde / rotor.d0 == pytest.approx(0.82, abs=0.01)
-    assert rotor.d0 == pytest.approx(2.0 * CODATA2018.e_charge * rotor.d_e, rel=1e-15)
+    assert rotor.d0 == pytest.approx(2.0 * CODATA2018.e_charge * D_E_WATER, rel=1e-15)
 
 
 def test_frequency_wavelength_consistency(rotor):
@@ -59,10 +61,6 @@ def test_level_ladder(rotor):
 
 
 def test_bad_inputs_rejected(rotor):
-    with pytest.raises(ValueError):
-        build_rotor(d_g=-1e-10)
-    with pytest.raises(ValueError):
-        build_rotor(d_e=0.0)
     with pytest.raises(ValueError):
         rotational_level_energy(rotor, -1)
     with pytest.raises(ValueError):
