@@ -36,8 +36,9 @@ field, so the kicks and the RK4 cross-check below share it bit for bit.
 Both flows are exact, so the composition is symplectic and the second
 first integral <p²>/2 - 2 Im(field·conj(b)) does not drift secularly.
 It runs first-same-as-last: the closing kick of a step and the opening
-kick of the next share e^{i·theta}, which each EnsembleState keeps with b
-(EnsembleState.phases). A step therefore evaluates the phases
+kick of the next share e^{i·theta}: step builds the state it returns with
+that array and b as its phases, and the next step reads them back through
+EnsembleState.phases(). A step therefore evaluates the phases
 (_phase_factors: cos and sin into one complex array, and one pairwise
 mean) 3 times, and a recorded bunching factor is the cached b, at no
 extra evaluation. The first two of those evaluations, the kicks' products,
@@ -54,8 +55,7 @@ from __future__ import annotations
 import cmath
 import math
 import threading
-from dataclasses import dataclass, fields
-from dataclasses import field as dataclass_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,15 +134,19 @@ def pairwise_mean(values: np.ndarray):
     return pairwise_sum(values) / values.shape[0]
 
 
-@dataclass
 class EnsembleState:
-    """Phases, momenta and the field amplitude, one complex, at scaled time tau."""
+    """Phases, momenta and the field amplitude, one complex, at scaled time tau.
 
-    theta: np.ndarray
-    p: np.ndarray
-    field: complex
-    tau: float
-    _phases: tuple | None = dataclass_field(default=None, init=False, repr=False, compare=False)
+    phases, if given, is the (e^{i·theta}, <e^{i·theta}>) pair at theta: step
+    passes the one its closing kick used, and phases() computes it otherwise.
+    """
+
+    __slots__ = ("theta", "p", "field", "tau", "_phases")
+
+    def __init__(self, theta: np.ndarray, p: np.ndarray, field: complex, tau: float,
+                 phases: tuple[np.ndarray, complex] | None = None) -> None:
+        self.theta, self.p, self.field, self.tau = theta, p, field, tau
+        self._phases = phases
 
     @property
     def amp(self) -> float:
@@ -154,10 +158,7 @@ class EnsembleState:
         return -math.atan2(self.field.imag, self.field.real)
 
     def phases(self) -> tuple[np.ndarray, complex]:
-        """(e^{i·theta}, <e^{i·theta}>) at this state, computed on first use and kept.
-
-        step hands each new state the pair its closing kick used.
-        """
+        """(e^{i·theta}, <e^{i·theta}>) at this state, computed on first use and kept."""
         if self._phases is None:
             self._phases = _phase_factors(self.theta)
         return self._phases
@@ -167,40 +168,51 @@ class EnsembleState:
         return self.phases()[1]
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Recorded time series (one entry per recorded step).
+def _column(j: int, doc: str) -> property:
+    return property(lambda self: self.table[:, j], doc=doc)
 
-    A trajectory is a value: the arrays it is built from, and every array
-    they view, become read-only, and it compares and hashes by identity.
-    Code that sets an array's writeable flag back on and changes it gets
-    no guarantee from the memos in scenario.
+
+class Trajectory:
+    """Recorded time series, one row per recorded step.
+
+    The constructor copies the seven columns into one row-major (n, 7)
+    table, in the column order of a trajectory CSV, and makes it read-only;
+    the columns are views of it. A trajectory compares and hashes by
+    identity. Code that sets the table's writeable flag back on and changes
+    it gets no guarantee from the memos in scenario.
     """
 
-    tau: np.ndarray
-    amp: np.ndarray
-    phi: np.ndarray
-    bunch_re: np.ndarray
-    bunch_im: np.ndarray
-    p_mean: np.ndarray
-    conserved: np.ndarray
+    __slots__ = ("_table",)
 
-    def __post_init__(self) -> None:
-        for array in self.columns():
-            while isinstance(array, np.ndarray):
-                array.flags.writeable = False
-                array = array.base
+    def __init__(self, tau, amp, phi, bunch_re, bunch_im, p_mean, conserved) -> None:
+        # np.stack, unlike np.column_stack, rejects unequal lengths and turns
+        # 2-D columns into a 3-D table instead of widening the table
+        table = np.stack([tau, amp, phi, bunch_re, bunch_im, p_mean, conserved], axis=1,
+                         dtype=float)
+        if table.ndim != 2:
+            raise ValueError(f"a Trajectory takes seven 1-D columns of one length, "
+                             f"got a table of shape {table.shape}")
+        table.flags.writeable = False
+        self._table = table
+
+    @property
+    def table(self) -> np.ndarray:
+        """The read-only (n, 7) table: one row per sample, one column per CSV column."""
+        return self._table
+
+    tau = _column(0, "Scaled time of each sample.")
+    amp = _column(1, "Field amplitude |field|.")
+    phi = _column(2, "Field phase, field = amp·e^{-i·phi}.")
+    bunch_re = _column(3, "Real part of the bunching factor <e^{i·theta}>.")
+    bunch_im = _column(4, "Imaginary part of the bunching factor.")
+    p_mean = _column(5, "Mean momentum <p>.")
+    conserved = _column(6, "The first integral <p> + |field|^2.")
 
     def __len__(self) -> int:
-        return self.tau.shape[0]
-
-    def columns(self) -> list[np.ndarray]:
-        """The arrays in field order: the columns of a trajectory CSV."""
-        return [getattr(self, f.name) for f in fields(self)]
+        return self._table.shape[0]
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(NamedTuple):
     """Derived measures of one run.
 
     bunching is the complex bunching factor at saturation (or at the end
@@ -308,7 +320,8 @@ def _require_finite(theta, p, field: complex, tau: float) -> None:
 
 
 def step(state: EnsembleState, dt: float) -> EnsembleState:
-    """One fourth-order symplectic step; raises NumericalBlowupError on non-finite state."""
+    """One fourth-order symplectic step to a state built with its closing kick's phases;
+    raises NumericalBlowupError on non-finite state."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     # one copy of each array per step, updated in place: the input state is left as it is
@@ -330,9 +343,7 @@ def step(state: EnsembleState, dt: float) -> EnsembleState:
     if not (cmath.isfinite(b) and np.isfinite(p).all() and cmath.isfinite(field)):
         raise NumericalBlowupError(f"non-finite state after step at tau={state.tau!r}")
     # the caller assigns tau from the step index
-    out = EnsembleState(theta=theta, p=p, field=field, tau=state.tau)
-    out._phases = (eith, b)
-    return out
+    return EnsembleState(theta, p, field, state.tau, (eith, b))
 
 
 def run(config: SimConfig) -> tuple[Trajectory, Diagnostics]:

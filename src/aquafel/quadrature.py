@@ -27,7 +27,7 @@ weights multiply the result by w_minus + 3·w_plus, which is 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,8 +115,7 @@ def dipole_matrix_element(l1: int, m1: int, l2: int, m2: int, axis: int) -> comp
 _Z_MATRIX_ELEMENT = dipole_matrix_element(1, 0, 0, 0, axis=3).real
 
 
-@dataclass(frozen=True)
-class MixedStates:
+class MixedStates(NamedTuple):
     """Field-mixed rotational eigenstates over the (|0,0>, |1,0>) basis."""
 
     amp_0: np.ndarray

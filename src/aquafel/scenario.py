@@ -41,7 +41,7 @@ from .scaling import SystemParams, gain_coefficients, gain_grid, validity_ratio
 if TYPE_CHECKING:
     from .dynamics import Diagnostics, Trajectory
 
-#: Trajectory CSV columns, in the field order of Trajectory.
+#: Trajectory CSV columns, in the column order of Trajectory.table.
 CSV_HEADER = "tau,A0_scaled,phi,bunch_re,bunch_im,p_mean,conserved"
 #: One trajectory CSV row: the same text as f"{v:.16e}" for every value.
 CSV_ROW = ",".join(["%.16e"] * len(CSV_HEADER.split(","))) + "\n"
@@ -204,11 +204,9 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
 
 @functools.lru_cache(maxsize=1)
 def _format_trajectory(traj: Trajectory) -> bytes:
-    import numpy as np
-
     row = CSV_ROW.encode()
     lines = [CSV_HEADER.encode() + b"\n"]
-    lines += [row % tuple(values) for values in np.column_stack(traj.columns()).tolist()]
+    lines += [row % tuple(values) for values in traj.table.tolist()]
     return b"".join(lines)
 
 

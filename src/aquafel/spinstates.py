@@ -24,7 +24,7 @@ is not evaluated here: verify.py compares the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ from .rotor import RigidRotor
 _SQRT3 = math.sqrt(3.0)
 
 
-@dataclass(frozen=True)
-class SpinOperators:
+class SpinOperators(NamedTuple):
     """Pseudo-spin-1/2 matrices over the (|e>, |g>) basis."""
 
     s1: np.ndarray
@@ -47,8 +46,7 @@ class SpinOperators:
         return (self.s1, self.s2, self.s3)[a - 1]
 
 
-@dataclass(frozen=True)
-class SuperradiantPair:
+class SuperradiantPair(NamedTuple):
     """Unnormalized cooperative amplitudes; phases enter via theta2 - theta1."""
 
     psi_g: np.ndarray
@@ -60,8 +58,7 @@ class SuperradiantPair:
         return self.psi_g if which == "g" else self.psi_e
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """Molecular Cartesian frame from two successive rotations.
 
     The frame is the lab basis rotated first about z by -xi1, then about

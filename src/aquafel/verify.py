@@ -14,7 +14,7 @@ test suite asserts the same bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ _DRAWS = 1000
 _SHELLS = 50
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -5,7 +5,6 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -31,6 +30,8 @@ from aquafel.scenario import (
 )
 from aquafel.svgplot import emit_plot, render_svg
 
+#: The columns of a Trajectory, in the order its constructor takes them.
+COLUMNS = ("tau", "amp", "phi", "bunch_re", "bunch_im", "p_mean", "conserved")
 SMALL_SIM = SimConfig(n_particles=256, dt=0.01, tau_end=16.0, seed_amp=1e-4,
                       init_mode="quiet-start", rng_seed=12345, record_stride=20)
 
@@ -176,8 +177,8 @@ def memo_config(**entries):
 
 
 def assert_trajectories_equal(a, b):
-    for f in fields(Trajectory):
-        np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
+    for name in COLUMNS:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_configs_differing_in_physics_share_one_integration(run_calls):
@@ -212,9 +213,9 @@ def test_another_sim_config_integrates_again(run_calls):
 
 def test_kept_trajectory_is_read_only(run_calls):
     traj = run_scenario(memo_config()).trajectory
-    for f in fields(Trajectory):
+    for name in COLUMNS:
         with pytest.raises(ValueError, match="read-only"):
-            getattr(traj, f.name)[0] = 0.0
+            getattr(traj, name)[0] = 0.0
     # the next hit returns the same, untouched integration
     again = run_scenario(memo_config()).trajectory
     assert len(run_calls) == 1
@@ -270,19 +271,40 @@ def trajectories_built_four_ways(tmp_path, columns):
 
 
 def test_every_trajectory_is_read_only(run_calls, tmp_path):
-    columns = [np.arange(3.0) for _ in fields(Trajectory)]
+    columns = [np.arange(3.0) for _ in COLUMNS]
     built = trajectories_built_four_ways(tmp_path, columns)
     for how, traj in built.items():
-        for f in fields(Trajectory):
+        for name in COLUMNS:
             with pytest.raises(ValueError, match="read-only"):
-                getattr(traj, f.name)[0] = 0.5
+                getattr(traj, name)[0] = 0.5
         # a value: hashed and compared by identity, not by its arrays
         assert traj == traj and hash(traj) == object.__hash__(traj), how
-    # the constructor freezes the caller's own arrays
+    # the constructor copies the caller's arrays, which stay theirs to change
     for column in columns:
-        with pytest.raises(ValueError, match="read-only"):
-            column[0] = 0.5
+        column[0] = 0.5
+    np.testing.assert_array_equal(built["constructor"].amp, np.arange(3.0))
     assert built["constructor"] != Trajectory(*columns)
+
+
+def test_the_constructor_leaves_the_callers_buffer_alone():
+    buf = np.zeros((100, 7))
+    traj = Trajectory(*buf[:10].T)
+    buf[50, 0] = 1.0  # row 50 is not in the trajectory
+    buf[3, 1] = 2.0  # row 3 is, but the trajectory holds its own copy
+    assert buf.flags.writeable
+    np.testing.assert_array_equal(traj.table, np.zeros((10, 7)))
+    assert traj.table.flags.c_contiguous and traj.amp.strides == (56,)
+
+
+@pytest.mark.parametrize("columns", [
+    [np.zeros((3, 2))] + [np.zeros(3)] * 6,
+    [np.zeros((3, 1))] * 7,
+    [np.zeros(3)] * 6 + [np.zeros(4)],
+    [0.0] * 7,
+], ids=["one-2-D-column", "all-2-D-columns", "unequal-lengths", "scalars"])
+def test_the_constructor_takes_seven_1d_columns_of_one_length(columns):
+    with pytest.raises(ValueError):
+        Trajectory(*columns)
 
 
 def test_arrays_behind_the_columns_are_read_only(run_calls, tmp_path):
