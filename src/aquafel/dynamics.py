@@ -322,7 +322,7 @@ def _require_finite(theta, p, field: complex, tau: float) -> None:
 def step(state: EnsembleState, dt: float) -> EnsembleState:
     """One fourth-order symplectic step to a state built with its closing kick's phases;
     raises NumericalBlowupError on non-finite state."""
-    if dt <= 0.0:
+    if not (dt > 0.0):
         raise ValueError("dt must be positive")
     # one copy of each array per step, updated in place: the input state is left as it is
     theta, p, field = state.theta.copy(), state.p.copy(), state.field

@@ -34,7 +34,7 @@ DELTA_W_LIMIT_CYCLE = 0.62
 
 def linearized_polarization(E0z: float) -> float:
     """Weak-field P_z = C_P·E0z; valid for 0 <= E0z <= 1e7 V/m."""
-    if E0z < 0.0:
+    if not (E0z >= 0.0):
         raise ValueError("static field E0z must be non-negative")
     if E0z > E0Z_MAX:
         raise ValueError(

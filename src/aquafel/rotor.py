@@ -76,7 +76,7 @@ def rotational_level_energy(rotor: RigidRotor, l: int) -> float:
 
 def population_ratio(rotor: RigidRotor, l: int, temperature: float) -> float:
     """Per-state Boltzmann ratio R_l = exp(-E_l/(k_B·T)) relative to l=0."""
-    if temperature <= 0.0:
+    if not (temperature > 0.0):
         raise ValueError("temperature must be positive")
     E_l = rotational_level_energy(rotor, l)
     return math.exp(-E_l / (CODATA2018.k_B * temperature))

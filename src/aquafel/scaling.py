@@ -17,8 +17,9 @@ on the rotor constants and the shell inversion. When P_z = 0 or
 delta_n_bar = 0 the mechanism is off: A_sat -> 0 and t_gain -> infinity.
 Neither scale involves the ion velocity.
 
-gain_grid evaluates them over a rho x P_z grid, and gain_coefficients is
-the one route from SystemParams to them, through gain_grid at one point;
+gain_grid evaluates them over a rho x P_z grid and is the one place that
+checks their inputs; gain_coefficients is the one route from the plain
+SystemParams record to them, through gain_grid at one point;
 prefactors_closed_form is an independent reference for c_A and c_t, and
 validity_ratio converts a scaled momentum back to units of omega_c. All
 of it is plain float arithmetic: no numpy.
@@ -47,45 +48,21 @@ def _pz_ok(P_z: float) -> bool:
     return 0.0 <= P_z <= P_Z_MAX
 
 
-class _SystemFields(NamedTuple):
+class SystemParams(NamedTuple):
+    """Scenario-level inputs for the gain coefficients.
+
+    n: solvating molecules per ion; delta_n_bar: shell inversion;
+    rho: ion concentration [1/m³]; P_z: permanent polarization
+    (dimensionless, in [0, 1/(3*sqrt(3))]); mu: magnetic permeability.
+    A plain record: gain_grid, which gain_coefficients calls, checks the values.
+    """
+
     n: int
     delta_n_bar: float
     rho: float
     P_z: float
     rotor: RigidRotor
     mu: float
-
-
-class SystemParams(_SystemFields):
-    """Scenario-level inputs for the gain coefficients, checked when built.
-
-    n: solvating molecules per ion; delta_n_bar: shell inversion;
-    rho: ion concentration [1/m³]; P_z: permanent polarization
-    (dimensionless, in [0, 1/(3*sqrt(3))]); mu: magnetic permeability.
-    _make, and so _replace, builds through the same checks.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> SystemParams:
-        self = super().__new__(cls, *args, **kwargs)
-        if self.n < 1:
-            raise ValueError("molecule count n must be >= 1")
-        if not 0.0 <= self.delta_n_bar <= self.n:
-            raise ValueError(f"inversion delta_n_bar must lie in [0, n = {self.n}], "
-                             f"got {self.delta_n_bar!r}")
-        if not _rho_ok(self.rho):
-            raise ValueError("ion concentration rho must be positive and finite, "
-                             f"got {self.rho!r}")
-        if not _pz_ok(self.P_z):
-            raise ValueError(f"P_z must lie in [0, {P_Z_MAX}], got {self.P_z!r}")
-        if self.mu <= 0.0:
-            raise ValueError("permeability mu must be positive")
-        return self
-
-    @classmethod
-    def _make(cls, iterable) -> SystemParams:
-        return cls(*iterable)
 
 
 class GainCoefficients(NamedTuple):
@@ -114,10 +91,19 @@ def gain_grid(n: int, delta_n_bar: float, rho, P_z, rotor: RigidRotor, mu: float
     per rho row its validity, beta's prefix k_beta·rho·delta_n_bar and
     rho^(1/3), rho^(2/3). Per point are left beta, A_sat, t_gain, c_A, c_t and
     their range checks. Where P_z or delta_n_bar is 0 the mechanism is off, as
-    gain_coefficients describes. The first point in rho-major order with an
-    invalid rho or P_z, or with scales beyond the float range, raises
-    ValueError when it is reached; an empty axis raises nothing, and nothing warns.
+    gain_coefficients describes. An invalid n, delta_n_bar or mu raises
+    ValueError before any row is yielded, even when an axis is empty. The first
+    point in rho-major order with an invalid rho or P_z, or with scales beyond
+    the float range, raises ValueError when it is reached, so for those an empty
+    axis raises nothing. NaN is invalid everywhere, and nothing warns.
     """
+    if not (n >= 1):
+        raise ValueError("molecule count n must be >= 1")
+    if not (0.0 <= delta_n_bar <= n):
+        raise ValueError(f"inversion delta_n_bar must lie in [0, n = {n}], "
+                         f"got {delta_n_bar!r}")
+    if not (mu > 0.0):
+        raise ValueError("permeability mu must be positive")
     k_alpha, n_I = _SQRT3 * delta_n_bar * rotor.omega_c, n * rotor.I_ave
     k_beta, d0_tilde = mu * CODATA2018.c**2, rotor.d0_tilde
     two_sqrt3, inf = 2.0 * _SQRT3, math.inf
@@ -138,14 +124,14 @@ def gain_grid(n: int, delta_n_bar: float, rho, P_z, rotor: RigidRotor, mu: float
             yield []
             continue
         if not _rho_ok(r):  # the row's first point is the first bad one
-            raise _bad_point(n, delta_n_bar, r, columns[0][0], rotor, mu)
+            raise _bad_point(r, columns[0][0], delta_n_bar)
         k_r = k_beta * r * delta_n_bar
         r_third, r_two_thirds = r ** (1.0 / 3.0), r ** (2.0 / 3.0)
         row = []
         for p, d_eff, alpha, p_third, p_two_thirds in columns:
             if alpha is None:
                 if d_eff is None:
-                    raise _bad_point(n, delta_n_bar, r, p, rotor, mu)
+                    raise _bad_point(r, p, delta_n_bar)
                 row.append(_MECHANISM_OFF)
                 continue
             beta = k_r * d_eff / two_sqrt3
@@ -154,20 +140,22 @@ def gain_grid(n: int, delta_n_bar: float, rho, P_z, rotor: RigidRotor, mu: float
                 t_gain = (alpha * beta / 2.0) ** (-1.0 / 3.0)
                 c_A = A_sat / (r_two_thirds * p_third)
             except (ZeroDivisionError, OverflowError):  # an infinite or undefined scale
-                raise _bad_point(n, delta_n_bar, r, p, rotor, mu) from None
+                raise _bad_point(r, p, delta_n_bar) from None
             c_t = t_gain * r_third * p_two_thirds
             if not (0.0 < A_sat < inf and 0.0 < t_gain < inf
                     and 0.0 < c_A < inf and 0.0 < c_t < inf):
-                raise _bad_point(n, delta_n_bar, r, p, rotor, mu)
+                raise _bad_point(r, p, delta_n_bar)
             row.append((alpha, beta, A_sat, t_gain, c_A, c_t))
         yield row
 
 
-def _bad_point(n: int, delta_n_bar: float, rho: float, P_z: float, rotor: RigidRotor,
-               mu: float) -> ValueError:
-    """The error for a grid point: SystemParams' own for an invalid input, else
-    the range error."""
-    SystemParams(n, delta_n_bar, rho, P_z, rotor, mu)  # raises for an invalid input
+def _bad_point(rho: float, P_z: float, delta_n_bar: float) -> ValueError:
+    """The error for a grid point: rho's if it is invalid, else P_z's if that is,
+    else the range error."""
+    if not _rho_ok(rho):
+        return ValueError(f"ion concentration rho must be positive and finite, got {rho!r}")
+    if not _pz_ok(P_z):
+        return ValueError(f"P_z must lie in [0, {P_Z_MAX}], got {P_z!r}")
     return ValueError("saturation scales leave the floating-point range at rho = "
                       f"{rho!r} 1/m^3, P_z = {P_z!r}, delta_n_bar = {delta_n_bar!r}")
 

@@ -32,7 +32,7 @@ import math
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .config import ConfigError, ScenarioConfig, SimConfig, resolved_entries
+from .config import ScenarioConfig, SimConfig, resolved_entries
 from .constants import CODATA2018, GAUSS_LEGENDRE_ORDER, TRAPEZOID_ORDER
 from .mixing import DELTA_W_LIMIT_CYCLE, solvation_inversion, weights_from_delta_w
 from .rotor import build_rotor, thermal_inversion
@@ -62,7 +62,11 @@ class ScenarioResult(NamedTuple):
 
 
 def derive_chain(config: ScenarioConfig, defaulted: list[str] | None = None) -> dict:
-    """Physical derivation chain as a JSON-ready dict (no simulation)."""
+    """Physical derivation chain as a JSON-ready dict (no simulation).
+
+    It raises what its callees raise, a plain ValueError for an input they
+    reject; config_from_entries is where a config's values become ConfigError.
+    """
     rotor = build_rotor()
     P_z = config.polarization()
     w_plus, w_minus = weights_from_delta_w(config.delta_w)
@@ -74,11 +78,8 @@ def derive_chain(config: ScenarioConfig, defaulted: list[str] | None = None) -> 
         rotor=rotor,
         mu=CODATA2018.mu0,
     )
-    try:
-        coeffs = gain_coefficients(params)
-        thermal = thermal_inversion(rotor, config.n_waters, config.temperature)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    coeffs = gain_coefficients(params)
+    thermal = thermal_inversion(rotor, config.n_waters, config.temperature)
     hc = CODATA2018.hbar * CODATA2018.c
     summary = {
         "resolved_config": resolved_entries(config),

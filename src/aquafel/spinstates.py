@@ -158,7 +158,7 @@ def ponderomotive_term(
     d(s1)/dt = -omega_c·s2, d(s2)/dt = +omega_c·s1. The s2 channel carries cos(xi2) because the dipole z-channel has no
     matrix element inside the two-level space.
     """
-    if A0 < 0.0:
+    if not (A0 >= 0.0):
         raise ValueError("field amplitude A0 must be non-negative")
     A_vec = transverse_field_vector(A0, phi0)
     A_dot_e1 = float(A_vec @ frame.e1)

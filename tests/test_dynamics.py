@@ -195,6 +195,8 @@ def test_step_rejects_bad_dt_and_detects_blowup():
     state = uniform_state(n=8, field=0.1 + 0.0j)
     with pytest.raises(ValueError):
         step(state, 0.0)
+    with pytest.raises(ValueError, match="^dt must be positive$"):
+        step(state, math.nan)
     huge = uniform_state(n=8, field=1e308 + 0.0j)
     with pytest.raises(NumericalBlowupError):
         step(huge, 0.01)

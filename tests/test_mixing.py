@@ -87,6 +87,8 @@ def test_linearized_polarization_range():
         linearized_polarization(2e7)
     with pytest.raises(ValueError):
         linearized_polarization(-1.0)
+    with pytest.raises(ValueError, match="^static field E0z must be non-negative$"):
+        linearized_polarization(math.nan)
     # the boundary itself is allowed
     assert linearized_polarization(1e7) == pytest.approx(4.9e-2, rel=1e-12)
 

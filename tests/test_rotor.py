@@ -65,6 +65,8 @@ def test_bad_inputs_rejected(rotor):
         rotational_level_energy(rotor, -1)
     with pytest.raises(ValueError):
         population_ratio(rotor, 1, 0.0)
+    with pytest.raises(ValueError, match="^temperature must be positive$"):
+        population_ratio(rotor, 1, math.nan)
     with pytest.raises(ValueError):
         thermal_inversion(rotor, 0, ROOM_T)
     with pytest.raises(ValueError):

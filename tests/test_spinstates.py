@@ -186,6 +186,8 @@ def test_ponderomotive_xi1_invariance(rotor):
 def test_ponderomotive_rejects_negative_amplitude(rotor):
     with pytest.raises(ValueError):
         ponderomotive_term(-1.0, 0.0, 0.0, 0.0, make_frame(0.0, 0.0), rotor, "g")
+    with pytest.raises(ValueError, match="^field amplitude A0 must be non-negative$"):
+        ponderomotive_term(math.nan, 0.0, 0.0, 0.0, make_frame(0.0, 0.0), rotor, "g")
 
 
 def test_per_ion_aggregate_matches_closed_coefficient(rotor):
