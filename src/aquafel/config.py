@@ -13,8 +13,8 @@ raw entries laid over the file's, checked by the same code with the same
 messages. The value ranges belong to ScenarioConfig.validate and SimConfig.
 
 SimConfig checks its values when it is built, by its constructor or by
-_make and _replace. ScenarioConfig is a plain mutable class, compared
-attribute by attribute: callers set output_dir on it.
+_make and _replace. ScenarioConfig is a mutable SimpleNamespace subclass,
+compared attribute by attribute: callers set output_dir on it.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .mixing import DELTA_W_LIMIT_CYCLE, E0Z_MAX, linearized_polarization
@@ -109,13 +110,13 @@ class SimConfig(_SimFields):
         return round(self.tau_end / self.dt)
 
 
-class ScenarioConfig:
+class ScenarioConfig(SimpleNamespace):
     """Fully resolved scenario inputs.
 
     Either field_E0z or P_z_override fixes the polarization; either rho
     or the (N_ions, V_volume) pair fixes the ion concentration. Mutable:
-    a caller may set output_dir after loading. Two configs are equal when
-    all their attributes are.
+    a caller may set output_dir after loading. SimpleNamespace gives the
+    attribute-wise equality and the repr; like it, a config is unhashable.
     """
 
     def __init__(self, temperature: float = 300.0, n_waters: int = 30,
@@ -133,15 +134,6 @@ class ScenarioConfig:
         self.delta_w = delta_w
         self.sim = sim
         self.output_dir = output_dir
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"{type(self).__qualname__}({fields})"
 
     def ion_concentration(self) -> float:
         """rho [1/m³], from the direct value or from N/V."""

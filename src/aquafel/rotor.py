@@ -84,7 +84,7 @@ def population_ratio(rotor: RigidRotor, l: int, temperature: float) -> float:
 
 def thermal_inversion(rotor: RigidRotor, n: int, temperature: float) -> ThermalInversion:
     """Thermal-equilibrium population difference over an n-molecule shell."""
-    if n < 1:
+    if not (n >= 1):
         raise ValueError("molecule count n must be >= 1")
     thermal_energy = 2.0 * CODATA2018.k_B * temperature
     if not thermal_energy > 0.0:

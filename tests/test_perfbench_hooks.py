@@ -28,13 +28,17 @@ EXPECTED = [
 ]
 
 
+def traced_function(name: str) -> ast.FunctionDef:
+    """The top-level function `name` of traced.py, parsed."""
+    tree = ast.parse(TRACED.read_text())
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
 def installed_hooks() -> list[tuple[str, str]]:
     """(owner, attr) of every tr.install(owner, "attr", ...) in traced.py's _install."""
-    tree = ast.parse(TRACED.read_text())
-    install = next(node for node in tree.body
-                   if isinstance(node, ast.FunctionDef) and node.name == "_install")
     return [(ast.unparse(call.args[0]), call.args[1].value)
-            for call in ast.walk(install)
+            for call in ast.walk(traced_function("_install"))
             if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
             and call.func.attr == "install"]
 
@@ -46,3 +50,18 @@ def test_traced_hooks_exist_and_are_callable():
     for owner, attr in hooks:
         target = functools.reduce(getattr, owner.split("."), aquafel)
         assert callable(getattr(target, attr, None)), f"{owner}.{attr}"
+
+
+def probed_names() -> set[str]:
+    """<name> of every dynamics.<name> that traced.py's _probe reads."""
+    return {node.attr for node in ast.walk(traced_function("_probe"))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "dynamics"}
+
+
+def test_traced_probe_names_exist_and_are_callable():
+    names = probed_names()
+    # the probe times these two after every traced run
+    assert {"derivative", "pairwise_sum"} <= names
+    for name in names:
+        assert callable(getattr(dynamics, name, None)), f"dynamics.{name}"

@@ -69,6 +69,8 @@ def test_bad_inputs_rejected(rotor):
         population_ratio(rotor, 1, math.nan)
     with pytest.raises(ValueError):
         thermal_inversion(rotor, 0, ROOM_T)
+    with pytest.raises(ValueError, match="^molecule count n must be >= 1$"):
+        thermal_inversion(rotor, math.nan, ROOM_T)
     with pytest.raises(ValueError):
         thermal_inversion(rotor, 30, -10.0)
 
