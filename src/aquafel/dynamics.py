@@ -65,6 +65,8 @@ from .config import NumericalBlowupError, SimConfig
 QUIET_START_PERTURBATION = 1e-6
 #: Below this amplitude the polar form's 1/amp terms are unreliable.
 POLAR_AMP_FLOOR = 1e-9
+#: The top of the linear regime: the growth-rate fit window ends here.
+_LINEAR_TOP = 0.1
 
 
 class PolarSingularityError(RuntimeError):
@@ -217,7 +219,8 @@ class Diagnostics(NamedTuple):
 
     bunching is the complex bunching factor at saturation (or at the end
     if no saturation peak was found); sat_peak/sat_tau locate the first
-    local maximum of the field amplitude; growth_rate_fit is the
+    local maximum of the field amplitude above min(0.1, 100·max(seed_amp,
+    |b0|)), with b0 the initial bunching; growth_rate_fit is the
     least-squares slope of ln(amp) over the exponential-gain window
     amp in [10·seed_amp, 0.1].
     """
@@ -373,7 +376,12 @@ def run(config: SimConfig) -> tuple[Trajectory, Diagnostics]:
 def _diagnose(traj: Trajectory, config: SimConfig, p_max_abs: float) -> Diagnostics:
     amps = traj.amp
     growth = _fit_growth_rate(traj.tau, amps, config.seed_amp)
-    sat_idx = _first_local_max(amps)
+    # In the linear regime a neutral mode (lambda = i) of about the start's size,
+    # max(seed_amp, |b0|), beats against the growing one, so |A| can dip and
+    # recover there. 100 times above the start it can no longer reverse the
+    # growth; past the fit window's top the linear regime is over in any case.
+    start = max(config.seed_amp, abs(complex(traj.bunch_re[0], traj.bunch_im[0])))
+    sat_idx = _first_local_max(amps, min(_LINEAR_TOP, 100.0 * start))
     if sat_idx is None:
         sat_peak, sat_tau, b_idx = math.nan, math.nan, len(amps) - 1
     else:
@@ -390,7 +398,7 @@ def _diagnose(traj: Trajectory, config: SimConfig, p_max_abs: float) -> Diagnost
 
 def _fit_growth_rate(tau: np.ndarray, amp: np.ndarray, seed_amp: float) -> float:
     """Least-squares slope of ln(amp) over the first pass of [10·seed, 0.1]."""
-    lo, hi = 10.0 * seed_amp, 0.1
+    lo, hi = 10.0 * seed_amp, _LINEAR_TOP
     above = np.nonzero(amp >= lo)[0]
     if above.size == 0:
         return math.nan
@@ -403,10 +411,10 @@ def _fit_growth_rate(tau: np.ndarray, amp: np.ndarray, seed_amp: float) -> float
     return float(slope)
 
 
-def _first_local_max(amp: np.ndarray) -> int | None:
-    """Index of the first 3-point-stencil local maximum, or None."""
+def _first_local_max(amp: np.ndarray, floor: float) -> int | None:
+    """Index of the first 3-point-stencil local maximum above floor, or None."""
     inner = amp[1:-1]
-    peaks = np.flatnonzero((inner >= amp[:-2]) & (inner > amp[2:]))
+    peaks = np.flatnonzero((inner >= amp[:-2]) & (inner > amp[2:]) & (inner > floor))
     return int(peaks[0]) + 1 if peaks.size else None
 
 

@@ -18,7 +18,8 @@ delta_n_bar = 0 the mechanism is off: A_sat -> 0 and t_gain -> infinity.
 Neither scale involves the ion velocity.
 
 gain_grid evaluates them over a rho x P_z grid and is the one place that
-checks their inputs; gain_coefficients is the one route from the plain
+checks their inputs, every rho and P_z before any point and the float range
+at each point; gain_coefficients is the one route from the plain
 SystemParams record to them, through gain_grid at one point;
 prefactors_closed_form is an independent reference for c_A and c_t, and
 validity_ratio converts a scaled momentum back to units of omega_c. All
@@ -38,14 +39,6 @@ _SQRT3 = math.sqrt(3.0)
 P_Z_MAX = 1.0 / (3.0 * _SQRT3)
 #: (alpha, beta, A_sat, t_gain, c_A, c_t) where the mechanism is off.
 _MECHANISM_OFF = (0.0, 0.0, 0.0, math.inf, math.nan, math.nan)
-
-
-def _rho_ok(rho: float) -> bool:
-    return 0.0 < rho < math.inf
-
-
-def _pz_ok(P_z: float) -> bool:
-    return 0.0 <= P_z <= P_Z_MAX
 
 
 class SystemParams(NamedTuple):
@@ -82,20 +75,20 @@ class GainCoefficients(NamedTuple):
 
 def gain_grid(n: int, delta_n_bar: float, rho, P_z, rotor: RigidRotor, mu: float):
     """Yield, for each rho in order, the list of (alpha, beta, A_sat, t_gain, c_A,
-    c_t) at (rho, P_z[j]) for every P_z.
+    c_t) at (rho, P_z[j]) for every P_z; rho and P_z are sequences.
 
     Plain float arithmetic with the operations and operand order of a point by
     point evaluation, so every grid point has the bits of gain_coefficients at
     that point. What depends on one axis is computed once for it: per P_z
-    column its validity, d_eff = d0_tilde·P_z, alpha and P_z^(1/3), P_z^(2/3);
-    per rho row its validity, beta's prefix k_beta·rho·delta_n_bar and
-    rho^(1/3), rho^(2/3). Per point are left beta, A_sat, t_gain, c_A, c_t and
-    their range checks. Where P_z or delta_n_bar is 0 the mechanism is off, as
-    gain_coefficients describes. An invalid n, delta_n_bar or mu raises
-    ValueError before any row is yielded, even when an axis is empty. The first
-    point in rho-major order with an invalid rho or P_z, or with scales beyond
-    the float range, raises ValueError when it is reached, so for those an empty
-    axis raises nothing. NaN is invalid everywhere, and nothing warns.
+    column d_eff = d0_tilde·P_z, alpha and P_z^(1/3), P_z^(2/3); per rho row
+    beta's prefix k_beta·rho·delta_n_bar and rho^(1/3), rho^(2/3). Per point are
+    left beta, A_sat, t_gain, c_A, c_t and their range checks. Where P_z or
+    delta_n_bar is 0 the mechanism is off, as gain_coefficients describes.
+    Before any row is yielded, even when an axis is empty, an invalid n,
+    delta_n_bar or mu raises ValueError, then the first invalid rho, then the
+    first invalid P_z. The first point in rho-major order whose scales leave the
+    float range raises ValueError when it is reached. NaN is invalid everywhere,
+    and nothing warns.
     """
     if not (n >= 1):
         raise ValueError("molecule count n must be >= 1")
@@ -104,58 +97,49 @@ def gain_grid(n: int, delta_n_bar: float, rho, P_z, rotor: RigidRotor, mu: float
                          f"got {delta_n_bar!r}")
     if not (mu > 0.0):
         raise ValueError("permeability mu must be positive")
+    for r in rho:
+        if not (0.0 < r < math.inf):
+            raise ValueError(f"ion concentration rho must be positive and finite, got {r!r}")
+    for p in P_z:
+        if not (0.0 <= p <= P_Z_MAX):
+            raise ValueError(f"P_z must lie in [0, {P_Z_MAX}], got {p!r}")
     k_alpha, n_I = _SQRT3 * delta_n_bar * rotor.omega_c, n * rotor.I_ave
     k_beta, d0_tilde = mu * CODATA2018.c**2, rotor.d0_tilde
     two_sqrt3, inf = 2.0 * _SQRT3, math.inf
-    # (P_z, d_eff, alpha, P_z^(1/3), P_z^(2/3)); alpha is None where the column is
-    # mechanism-off, and d_eff too where P_z is invalid
+    # (P_z, d_eff, alpha, P_z^(1/3), P_z^(2/3)), or None where the mechanism is off
     columns = []
     for p in P_z:
-        if not _pz_ok(p):
-            columns.append((p, None, None, None, None))
-        elif p == 0.0 or delta_n_bar == 0.0:
-            columns.append((p, 0.0, None, None, None))
+        if p == 0.0 or delta_n_bar == 0.0:
+            columns.append(None)
         else:
             d_eff = d0_tilde * p
             columns.append((p, d_eff, k_alpha * d_eff / n_I, p ** (1.0 / 3.0),
                             p ** (2.0 / 3.0)))
     for r in rho:
-        if not columns:
-            yield []
-            continue
-        if not _rho_ok(r):  # the row's first point is the first bad one
-            raise _bad_point(r, columns[0][0], delta_n_bar)
         k_r = k_beta * r * delta_n_bar
         r_third, r_two_thirds = r ** (1.0 / 3.0), r ** (2.0 / 3.0)
         row = []
-        for p, d_eff, alpha, p_third, p_two_thirds in columns:
-            if alpha is None:
-                if d_eff is None:
-                    raise _bad_point(r, p, delta_n_bar)
+        for column in columns:
+            if column is None:
                 row.append(_MECHANISM_OFF)
                 continue
+            p, d_eff, alpha, p_third, p_two_thirds = column
             beta = k_r * d_eff / two_sqrt3
             try:
                 A_sat = (alpha / (2.0 * beta**2)) ** (-1.0 / 3.0)
                 t_gain = (alpha * beta / 2.0) ** (-1.0 / 3.0)
                 c_A = A_sat / (r_two_thirds * p_third)
             except (ZeroDivisionError, OverflowError):  # an infinite or undefined scale
-                raise _bad_point(r, p, delta_n_bar) from None
+                raise _range_error(r, p, delta_n_bar) from None
             c_t = t_gain * r_third * p_two_thirds
             if not (0.0 < A_sat < inf and 0.0 < t_gain < inf
                     and 0.0 < c_A < inf and 0.0 < c_t < inf):
-                raise _bad_point(r, p, delta_n_bar)
+                raise _range_error(r, p, delta_n_bar)
             row.append((alpha, beta, A_sat, t_gain, c_A, c_t))
         yield row
 
 
-def _bad_point(rho: float, P_z: float, delta_n_bar: float) -> ValueError:
-    """The error for a grid point: rho's if it is invalid, else P_z's if that is,
-    else the range error."""
-    if not _rho_ok(rho):
-        return ValueError(f"ion concentration rho must be positive and finite, got {rho!r}")
-    if not _pz_ok(P_z):
-        return ValueError(f"P_z must lie in [0, {P_Z_MAX}], got {P_z!r}")
+def _range_error(rho: float, P_z: float, delta_n_bar: float) -> ValueError:
     return ValueError("saturation scales leave the floating-point range at rho = "
                       f"{rho!r} 1/m^3, P_z = {P_z!r}, delta_n_bar = {delta_n_bar!r}")
 

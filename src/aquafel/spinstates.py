@@ -95,13 +95,11 @@ def superradiant_pair(theta1: float, theta2: float) -> SuperradiantPair:
 
 
 def spin_expectation(pair: SuperradiantPair, which: str, axis: int) -> float:
-    """<psi| s_axis |psi> with the unnormalized amplitudes (real by hermiticity)."""
+    """<psi| s_axis |psi> with the unnormalized amplitudes: its real part, all of
+    it for a Hermitian s_axis (verify's su(2) check covers the operators)."""
     psi = pair.state(which)
     op = energy_spins().axis(axis)
-    value = complex(np.vdot(psi, op @ psi))
-    if abs(value.imag) > 1e-14:
-        raise RuntimeError(f"spin expectation not real: {value!r}")
-    return value.real
+    return complex(np.vdot(psi, op @ psi)).real
 
 
 def free_energy_expectation(pair: SuperradiantPair, which: str, E_split: float) -> float:

@@ -84,6 +84,15 @@ DERIVATION_FAULTS = {
     "per-ion-prefactor": (verify, "per_ion_ponderomotive",
                           lambda f: lambda *args: f(*args) * _FAULT,
                           {"shell aggregation vs sum over molecules"}),
+    # s2[0, 1] off, so s2 is not Hermitian; energy_spins builds its record
+    # through this name, for verify's su(2) check as for spin_expectation
+    "non-hermitian-s2": (spinstates, "SpinOperators",
+                         lambda cls: lambda s1, s2, s3: cls(
+                             s1, s2 * [[1.0, _FAULT], [1.0, 1.0]], s3),
+                         {"su(2) commutators and Casimir",
+                          "ponderomotive numeric vs closed form",
+                          "frame-angle xi1 invariance",
+                          "shell aggregation vs sum over molecules"}),
 }
 
 

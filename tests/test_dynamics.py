@@ -416,7 +416,7 @@ def test_run_matches_rk4_through_saturation(saturating_run):
     field = traj.amp * np.exp(-1j * traj.phi)
     assert np.max(np.abs(field - reference)) / np.max(np.abs(reference)) <= 1e-7
     amp = np.abs(reference)
-    peak = _first_local_max(amp)
+    peak = _first_local_max(amp, 0.0)  # this run's first local maximum is its peak
     assert diag.sat_tau == traj.tau[peak]
     assert abs(diag.sat_peak - amp[peak]) <= 1e-7
     assert abs(diag.growth_rate_fit - _fit_growth_rate(traj.tau, amp, cfg.seed_amp)) <= 1e-7
@@ -428,10 +428,11 @@ def test_growth_rate_of_a_window_with_one_sample_is_nan():
     assert math.isnan(_fit_growth_rate(np.arange(3.0), amp, 1e-4))
 
 
-def first_local_max_loop(amp):
-    """The reference scan: the first k with amp[k-1] <= amp[k] > amp[k+1]."""
+def first_local_max_loop(amp, floor):
+    """The reference scan: the first k with amp[k-1] <= amp[k] > amp[k+1] and
+    amp[k] > floor."""
     for k in range(1, amp.shape[0] - 1):
-        if amp[k] >= amp[k - 1] and amp[k] > amp[k + 1]:
+        if amp[k] >= amp[k - 1] and amp[k] > amp[k + 1] and amp[k] > floor:
             return k
     return None
 
@@ -443,7 +444,18 @@ def test_first_local_max_is_the_first_index_of_the_scan():
             # few distinct values, so that plateaus and ties are common; NaN compares false
             amp = rng.integers(0, 4, n).astype(float)
             amp[rng.random(n) < 0.1] = math.nan
-            assert _first_local_max(amp) == first_local_max_loop(amp), amp
+            for floor in (0.0, 1.0, 1.5, 3.0):
+                assert _first_local_max(amp, floor) == first_local_max_loop(amp, floor), amp
+
+
+def test_a_linear_regime_wiggle_is_not_saturation():
+    # the seed field and the quiet start's bunching (|b0| = 1.02e-8) beat, so |A|
+    # has a local maximum of 1.045e-8 at tau = 1.6, long before the real peak
+    cfg = SimConfig(n_particles=4096, dt=0.01, tau_end=30.0, seed_amp=1e-8,
+                    init_mode="quiet-start", rng_seed=1, record_stride=10)
+    _, diag = run(cfg)
+    assert abs(diag.sat_peak - 1.17129) <= 1e-4
+    assert diag.sat_tau == 24.2
 
 
 def test_kicks_conserve_momentum_plus_field_energy_to_rounding(saturating_run):

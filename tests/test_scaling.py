@@ -211,25 +211,26 @@ def test_scales_near_the_float_range_keep_their_bits(rho, P_z, bits):
 
 
 def point_by_point_grid(n, delta_n_bar, rho, P_z, rotor, mu):
-    """The reference order: every point checked and evaluated on its own, in
-    rho-major order, with the operations and operand order of gain_grid."""
+    """The reference order: every rho, then every P_z checked, then every point
+    evaluated on its own, in rho-major order, with the operations and operand
+    order of gain_grid."""
     sqrt3, inf = math.sqrt(3.0), math.inf
     k_alpha, n_I = sqrt3 * delta_n_bar * rotor.omega_c, n * rotor.I_ave
     k_beta, d0_tilde = mu * CODATA2018.c**2, rotor.d0_tilde
+    for r in rho:
+        if not 0.0 < r < inf:
+            raise ValueError(f"ion concentration rho must be positive and finite, got {r!r}")
+    for p in P_z:
+        if not 0.0 <= p <= P_Z_MAX:
+            raise ValueError(f"P_z must lie in [0, {P_Z_MAX}], got {p!r}")
 
     def bad_point(r, p):
-        if not 0.0 < r < inf:
-            return ValueError(f"ion concentration rho must be positive and finite, got {r!r}")
-        if not 0.0 <= p <= P_Z_MAX:
-            return ValueError(f"P_z must lie in [0, {P_Z_MAX}], got {p!r}")
         return ValueError("saturation scales leave the floating-point range at rho = "
                           f"{r!r} 1/m^3, P_z = {p!r}, delta_n_bar = {delta_n_bar!r}")
 
     for r in rho:
         row = []
         for p in P_z:
-            if not (0.0 < r < inf and 0.0 <= p <= P_Z_MAX):
-                raise bad_point(r, p)
             if p == 0.0 or delta_n_bar == 0.0:
                 row.append((0.0, 0.0, 0.0, inf, math.nan, math.nan))
                 continue

@@ -15,7 +15,7 @@ from aquafel.constants import CODATA2018
 from aquafel.dynamics import NumericalBlowupError, SimConfig, Trajectory
 from aquafel.mixing import DELTA_W_LIMIT_CYCLE, solvation_inversion, weights_from_delta_w
 from aquafel.rotor import build_rotor
-from aquafel.scaling import SystemParams, gain_coefficients
+from aquafel.scaling import SystemParams, gain_coefficients, gain_grid
 from aquafel.scenario import (
     CSV_HEADER,
     SweepGrid,
@@ -394,11 +394,16 @@ def test_sweep_is_gain_coefficients_to_the_bit():
 
 
 @pytest.mark.parametrize("rhos, pzs, first", [
-    # bad points (0, 1) and (1, 0): rho-major order meets the P_z first
+    # an invalid P_z is reported before any point is evaluated: here
+    # (1e300, 1e-7) overflows after the P_z = 0.5 column in rho-major order,
     ([1e17, 1e300], [1e-7, 0.5], (1e17, 0.5)),
-    # bad points (0, 0), (0, 1) and (1, 1): the overflowing rho comes first
-    ([1e300, 1e17], [1e-7, 0.5], (1e300, 1e-7)),
-], ids=["P_z-above-ceiling-first", "rho-overflow-first"])
+    # and here before it
+    ([1e300, 1e17], [1e-7, 0.5], (1e17, 0.5)),
+    # an invalid value on one axis is reported even when the other is empty
+    ([-1.0], [], (-1.0, 1e-7)),
+    ([], [5.0], (1e17, 5.0)),
+], ids=["P_z-above-ceiling-first", "rho-overflow-first", "rho-negative-no-P_z",
+        "P_z-above-ceiling-no-rho"])
 def test_sweep_raises_for_the_first_bad_point(rhos, pzs, first):
     rotor = build_rotor()
     dn_bar = solvation_inversion(30, DELTA_W_LIMIT_CYCLE)
@@ -409,7 +414,9 @@ def test_sweep_raises_for_the_first_bad_point(rhos, pzs, first):
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as raised:
             sweep(rhos, pzs)
-    assert str(raised.value) == str(expected.value)
+    with pytest.raises(ValueError) as grid:
+        list(gain_grid(30, dn_bar, rhos, pzs, rotor, CODATA2018.mu0))
+    assert str(raised.value) == str(grid.value) == str(expected.value)
 
 
 def test_csv_writers_match_fstring_formatting(tmp_path):
