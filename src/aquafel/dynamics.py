@@ -39,11 +39,17 @@ It runs first-same-as-last: the closing kick of a step and the opening
 kick of the next share e^{i·theta}: step builds the state it returns with
 that array and b as its phases, and the next step reads them back through
 EnsembleState.phases(). A step therefore evaluates the phases
-(_phase_factors: cos and sin into one complex array, and one pairwise
-mean) 3 times, and a recorded bunching factor is the cached b, at no
-extra evaluation. The first two of those evaluations, the kicks' products,
-and the kicks' and drifts' increments go into two scratch arrays that the
-step allocates once; only the phases it keeps are a new array.
+(_phase_factors: cos and sin from one tan(theta/2) by the half-angle
+formulas into one complex array, and one pairwise mean) 3 times, and a
+recorded bunching factor is the cached b, at no extra evaluation. The
+first two of those evaluations, the kicks' products, and the kicks' and
+drifts' increments go into two scratch arrays that the step allocates
+once; only the phases it keeps are a new array.
+
+The phases are within 2^-50 of cos and sin, not their bits: results are
+bitwise reproducible on one machine, but their last bits follow numpy's
+tan, which differs between CPUs (SVML where AVX-512 is present, libm
+elsewhere).
 
 Classical RK4 (_rk4) remains for one purpose: polar_equivalence advances
 the complex form (through derivative) and the polar form with it in
@@ -275,14 +281,23 @@ def _phase_factors(theta: np.ndarray,
                    out: np.ndarray | None = None) -> tuple[np.ndarray, complex]:
     """(e^{i·theta}, <e^{i·theta}>): the module's one phase evaluation.
 
-    cos and sin go into the real and imaginary parts of out (a new complex
-    array if None). For every finite theta but -0.0 these are the bits of
-    np.exp(1j*theta); at -0.0 the imaginary part is sin(-0.0) = -0.0 where
-    exp gives +0.0, as the imaginary part of 1j*theta is 0·0 + 1·(-0.0) = +0.0.
+    From the half-angle formulas, with t = tan(theta/2) and s = 2/(1 + t²),
+    cos(theta) = s - 1 and sin(theta) = t·s go into the real and imaginary
+    parts of out (a new complex array if None). On AVX-512 CPUs numpy's
+    tan is vectorized (SVML) where its cos and sin are scalar libm calls;
+    t and s sit in contiguous temporaries, so each strided part of out is
+    written once. Each part is off the exact value by a few ulp of 1 (the
+    tests bound it by 2^-50). |t| stays far below 1e154 at a finite theta,
+    so t² does not overflow; an infinite or NaN theta gives NaN parts.
     """
     eith = np.empty(theta.shape, dtype=complex) if out is None else out
-    np.cos(theta, out=eith.real)
-    np.sin(theta, out=eith.imag)
+    t = np.multiply(theta, 0.5)
+    np.tan(t, out=t)
+    s = np.multiply(t, t)
+    s += 1.0
+    np.divide(2.0, s, out=s)
+    np.subtract(s, 1.0, out=eith.real)
+    np.multiply(t, s, out=eith.imag)
     return eith, complex(pairwise_mean(eith))
 
 

@@ -21,13 +21,15 @@ gain_grid evaluates them over a rho x P_z grid and is the one place that
 checks their inputs, every rho and P_z before any point and the float range
 at each point; gain_coefficients is the one route from the plain
 SystemParams record to them, through gain_grid at one point;
-prefactors_closed_form is an independent reference for c_A and c_t, and
-validity_ratio converts a scaled momentum back to units of omega_c. All
-of it is plain float arithmetic: no numpy.
+prefactors_closed_form is an independent reference for c_A and c_t,
+validity_ratio converts a scaled momentum back to units of omega_c, and
+linear_field is the scaled field of the linear regime in closed form. All
+of it is plain float and complex arithmetic: no numpy.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple
 
@@ -190,3 +192,21 @@ def validity_ratio(p_max_abs: float, t_gain: float, omega_c: float) -> float:
     It must stay well below 1 for the slow-phase approximation to hold.
     """
     return p_max_abs / (t_gain * omega_c)
+
+
+#: The three roots of lambda³ = -i, e^{i·pi·(4k - 1)/6}; the first, sqrt(3)/2 - i/2, grows.
+_CUBE_ROOTS_OF_MINUS_I = tuple(cmath.exp(1j * math.pi * (4 * k - 1) / 6.0) for k in range(3))
+
+
+def linear_field(tau: float, a0: complex, b0: complex, p0: complex = 0.0) -> complex:
+    """The scaled field A(tau) of the equations of motion linearized about uniform phases.
+
+    There A' = b, b' = i·<p·e^{i·theta}> and <p·e^{i·theta}>' = -A, so A''' = -i·A
+    and A = sum_k c_k·e^{lambda_k·tau} over the three cube roots lambda_k of -i,
+    with A(0) = a0, A'(0) = b0 (the initial bunching) and A''(0) = i·p0,
+    p0 = <p·e^{i·theta}>. The roots are lambda_0 times the cube roots of unity,
+    so the Vandermonde system inverts in closed form:
+    c_k = (a0 + b0/lambda_k + i·p0/lambda_k²)/3.
+    """
+    return sum((a0 + b0 / lam + 1j * p0 / (lam * lam)) / 3.0 * cmath.exp(lam * tau)
+               for lam in _CUBE_ROOTS_OF_MINUS_I)

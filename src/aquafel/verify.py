@@ -7,7 +7,10 @@ forms, a sum over explicit molecules vs the shell aggregate). This is the
 one place where the derivations in spinstates and quadrature meet their
 closed forms: the functions themselves return the derived value
 unchecked, so a fault shows here as a FAIL line while the other checks
-still run. The CLI `verify` subcommand prints one line per check; the
+still run. The last check integrates a short quiet start and compares
+its field with the linearized dynamics' closed form (scaling.linear_field),
+so the phases, kicks and drifts of this machine's numpy are checked where
+they run. The CLI `verify` subcommand prints one line per check; the
 test suite asserts the same bounds.
 """
 
@@ -18,8 +21,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import SimConfig
+from .dynamics import init_ensemble, run
 from .quadrature import dipole_matrix_element, permanent_polarization
 from .rotor import build_rotor
+from .scaling import linear_field
 from .spinstates import (
     energy_spins,
     free_energy_expectation,
@@ -34,6 +40,10 @@ _SQRT3 = math.sqrt(3.0)
 _DRAWS = 1000
 #: Random shells of the aggregation check, about 1000 molecules in all.
 _SHELLS = 50
+#: The linear-regime check's run: a 512-particle quiet start, seed field 1e-4,
+#: every step recorded; its amplitude first passes 1e-2 at tau = 6.59.
+_LINEAR_RUN = SimConfig(n_particles=512, dt=0.01, tau_end=7.0, seed_amp=1e-4,
+                        init_mode="quiet-start", rng_seed=12345, record_stride=1)
 
 
 class CheckResult(NamedTuple):
@@ -189,6 +199,28 @@ def check_polarization_forms() -> CheckResult:
     )
 
 
+def check_linear_regime() -> CheckResult:
+    """Integrated amplitude vs the linear-regime closed form, up to amp = 1e-2.
+
+    Each recorded step before the amplitude first exceeds 1e-2 is compared
+    with |linear_field| from the run's initial field and bunching (p = 0, so
+    p0 = 0). The relative deviation is the first nonlinear term, about
+    0.18·amp² (1.8e-5 at the end); what exceeds 0.25·amp² must stay below
+    1e-6. A kick coupling of -2.0002 instead of -2 leaves 1.6e-4.
+    """
+    start = init_ensemble(_LINEAR_RUN)
+    a0, b0 = start.field, start.bunching()
+    traj, _ = run(_LINEAR_RUN)
+    worst = 0.0
+    for tau, amp in zip(traj.tau.tolist(), traj.amp.tolist()):
+        if amp > 1e-2:
+            break
+        deviation = abs(amp / abs(linear_field(tau, a0, b0)) - 1.0)
+        worst = max(worst, deviation - 0.25 * amp * amp)
+    return _check("linear regime vs closed form (N=512 quiet start, relative, "
+                  "less 0.25·amp²)", worst, 1e-6)
+
+
 ALL_CHECKS = (
     check_quadrature_elements,
     check_su2_algebra,
@@ -198,6 +230,7 @@ ALL_CHECKS = (
     check_eq_ave_aggregation,
     check_free_energy_expectations,
     check_polarization_forms,
+    check_linear_regime,
 )
 
 

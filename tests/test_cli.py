@@ -71,8 +71,8 @@ def test_verify_passes(capsys):
 
 
 # Each case: a module attribute, the fault put into it (a relative error
-# of 1e-9), and the checks that must report it, named without the
-# parenthesised draw counts; every other check must pass.
+# of 1e-9 unless it says otherwise), and the checks that must report it,
+# named without the parenthesised draw counts; every other check must pass.
 _FAULT = 1.0 + 1e-9
 DERIVATION_FAULTS = {
     "z-matrix-element": (quadrature, "_Z_MATRIX_ELEMENT", lambda v: v * _FAULT,
@@ -93,6 +93,11 @@ DERIVATION_FAULTS = {
                           "ponderomotive numeric vs closed form",
                           "frame-angle xi1 invariance",
                           "shell aggregation vs sum over molecules"}),
+    # a pendulum coupling of -2.0002 instead of -2, in the kicks (a relative 1e-4:
+    # the linear regime's check bounds an integration, not a closed form)
+    "kick-coupling": (dynamics, "_force",
+                      lambda f: lambda c, *args, **kw: f(c * 1.0001, *args, **kw),
+                      {"linear regime vs closed form"}),
 }
 
 
