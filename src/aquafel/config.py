@@ -20,6 +20,7 @@ compared attribute by attribute: callers set output_dir on it.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -82,6 +83,9 @@ class SimConfig(_SimFields):
 
     def __new__(cls, *args, **kwargs) -> SimConfig:
         self = super().__new__(cls, *args, **kwargs)
+        for name in ("n_particles", "rng_seed", "record_stride"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 2 <= self.n_particles <= MAX_PARTICLES:
             raise ValueError(f"n_particles must lie in [2, {MAX_PARTICLES}], got {self.n_particles}")
         for name in ("dt", "tau_end", "seed_amp"):
@@ -94,9 +98,9 @@ class SimConfig(_SimFields):
             raise ValueError(f"tau_end = {self.tau_end!r} must be a whole number of dt steps")
         if self.init_mode not in INIT_MODES:
             raise ValueError(f"init_mode must be one of {INIT_MODES}")
-        if self.rng_seed < 0:
+        if not self.rng_seed >= 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        if self.record_stride < 1:
+        if not self.record_stride >= 1:
             raise ValueError("record_stride must be >= 1")
         return self
 

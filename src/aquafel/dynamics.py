@@ -13,12 +13,9 @@ dphi = -<sin(theta+phi)>/amp) but free of the 1/amp singularity; the
 polar form is kept only for the cross-check in polar_equivalence. The
 continuous system conserves <p> + |field|².
 
-Ensemble means use a fixed-order pairwise (tree) reduction so results
-are bitwise reproducible and accurate for large particle counts. Each
-level of the tree is one np.add into views of two scratch buffers, laid
-out once per 1-D length and dtype (_sum_plan). Every thread keeps its
-own plans, for one length at a time: np.add releases the GIL, so threads
-sharing the scratch would corrupt each other's sums.
+Ensemble means are numpy's pairwise sum (np.add.reduce): accurate for
+large particle counts, with bits that depend on neither the buffer's
+alignment nor the CPU dispatch target.
 
 step is Yoshida's fourth-order symmetric composition (the "triple
 jump", weights w1 = 1/(2 - 2^{1/3}) and w0 = -2^{1/3}·w1) of two exact
@@ -60,7 +57,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -79,63 +75,17 @@ class PolarSingularityError(RuntimeError):
     """Polar-form integration hit the amp -> 0 singularity."""
 
 
-#: pairwise_sum's plans, per thread: np.add releases the GIL, so two threads
-#: sharing one scratch buffer would overwrite each other's partial sums.
-_plans = threading.local()
-
-
 def pairwise_sum(values: np.ndarray):
-    """Fixed-order tree summation of a 1-D array: deterministic and O(log N) error growth.
+    """Sum of a non-empty 1-D array by numpy's pairwise summation, O(ε log N) error.
 
-    Level by level, element i becomes the sum of elements 2i and 2i+1; at an
-    odd length the last element is then added to element 0. Each level is one
-    np.add into scratch that _sum_plan lays out once per length and dtype. An
-    empty, 0-d or N-D input raises ValueError.
+    np.add.reduce fixes the order by the length alone, so the bits do not
+    depend on the buffer's alignment or the CPU dispatch target. An empty,
+    0-d or N-D input raises ValueError.
     """
     acc = np.asarray(values)
     if acc.ndim != 1 or acc.size == 0:
         raise ValueError(f"pairwise_sum takes a non-empty 1-D array, got shape {acc.shape}")
-    n = acc.shape[0]
-    if n == 1:
-        return acc[0]
-    try:
-        first, levels, last = _plans.by_key[n, acc.dtype]
-    except (AttributeError, KeyError):
-        first, levels, last = _sum_plan(n, acc.dtype)
-    even = n - n % 2
-    np.add(acc[0:even:2], acc[1:even:2], first)
-    if even < n:
-        first[0] += acc[even]
-    for left, right, out, fold in levels:
-        np.add(left, right, out)
-        if fold is not None:
-            head, odd = fold
-            np.add(head, odd, head)
-    return last[0]
-
-
-def _sum_plan(n: int, dtype: np.dtype) -> tuple:
-    """pairwise_sum's views for 1-D inputs of length n and this dtype: (first, levels, last).
-
-    first receives the input's pair sums. Each further level is (left, right,
-    out, fold): out = left + right, then for an odd length fold = (out[:1], the
-    odd element), else None. last holds the total. The levels write alternately
-    into the plan's own two buffers of n//2 and n//4 elements. This thread
-    keeps the plans of one length, one per dtype.
-    """
-    if getattr(_plans, "n", None) != n:
-        _plans.n, _plans.by_key = n, {}
-    half, quarter = np.empty(n // 2, dtype), np.empty(n // 4, dtype)
-    levels, src = [], half
-    while src.shape[0] > 1:
-        length = src.shape[0]
-        even = length - length % 2
-        out = (quarter, half)[len(levels) % 2][:length // 2]
-        fold = (out[:1], src[even:]) if even < length else None
-        levels.append((src[0:even:2], src[1:even:2], out, fold))
-        src = out
-    plan = _plans.by_key[n, dtype] = (half, levels, src)
-    return plan
+    return np.add.reduce(acc)
 
 
 def pairwise_mean(values: np.ndarray):
