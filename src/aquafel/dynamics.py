@@ -13,9 +13,10 @@ dphi = -<sin(theta+phi)>/amp) but free of the 1/amp singularity; the
 polar form is kept only for the cross-check in polar_equivalence. The
 continuous system conserves <p> + |field|².
 
-Ensemble means are numpy's pairwise sum (np.add.reduce): accurate for
-large particle counts, with bits that depend on neither the buffer's
-alignment nor the CPU dispatch target.
+Ensemble means are numpy's pairwise sum (np.add.reduce, one row at a
+time for the two planes of the phases): accurate for large particle
+counts, with bits that depend on neither the buffer's alignment nor the
+CPU dispatch target.
 
 step is Yoshida's fourth-order symmetric composition (the "triple
 jump", weights w1 = 1/(2 - 2^{1/3}) and w0 = -2^{1/3}·w1) of two exact
@@ -26,22 +27,26 @@ flows:
            (conserves <p> + |field|² to rounding)
     drift  theta += h·p
 
-where _force(c) = -2 Re(c·e^{-i·theta}) is the pendulum force of a field c
-on each phase. It is the module's one force: derivative takes it at c =
-field, so the kicks and the RK4 cross-check below share it bit for bit.
+where _force(c) = -2 Re(c·e^{-i·theta}) = -2(Re c·cos theta + Im c·sin theta)
+is the pendulum force of a field c on each phase. It is the module's one
+force: derivative takes it at c = field, and a kick with h in its two
+coefficients, so (scaling by 2 being exact short of overflow) a kick adds
+to p the bits of derivative's dp at the field h·(field + h·b/2).
 
 Both flows are exact, so the composition is symplectic and the second
 first integral <p²>/2 - 2 Im(field·conj(b)) does not drift secularly.
 It runs first-same-as-last: the closing kick of a step and the opening
-kick of the next share e^{i·theta}: step builds the state it returns with
-that array and b as its phases, and the next step reads them back through
+kick of the next share the phases: step builds the state it returns with
+them and b, and the next step reads them back through
 EnsembleState.phases(). A step therefore evaluates the phases
 (_phase_factors: cos and sin from one tan(theta/2) by the half-angle
-formulas into one complex array, and one pairwise mean) 3 times, and a
-recorded bunching factor is the cached b, at no extra evaluation. The
-first two of those evaluations, the kicks' products, and the kicks' and
-drifts' increments go into two scratch arrays that the step allocates
-once; only the phases it keeps are a new array.
+formulas into the two rows of one C-contiguous (2, N) float array, and
+their two row means) 3 times, and a recorded bunching factor is the
+cached b, at no extra evaluation. The phases are held as two planes, not
+as a complex array, so every write and every read of a kick is
+contiguous. The first two evaluations, the kicks' force terms and the
+drifts' increments go into one (4, N) scratch block that the step
+allocates once; only the phases it keeps are a new array.
 
 The phases are within 2^-50 of cos and sin, not their bits: results are
 bitwise reproducible on one machine, but their last bits follow numpy's
@@ -95,8 +100,8 @@ def pairwise_mean(values: np.ndarray):
 class EnsembleState:
     """Phases, momenta and the field amplitude, one complex, at scaled time tau.
 
-    phases, if given, is the (e^{i·theta}, <e^{i·theta}>) pair at theta: step
-    passes the one its closing kick used, and phases() computes it otherwise.
+    phases, if given, is the (planes, b) pair of phases() at theta: step passes
+    the one its closing kick used, and phases() computes it otherwise.
     """
 
     __slots__ = ("theta", "p", "field", "tau", "_phases")
@@ -116,7 +121,11 @@ class EnsembleState:
         return -math.atan2(self.field.imag, self.field.real)
 
     def phases(self) -> tuple[np.ndarray, complex]:
-        """(e^{i·theta}, <e^{i·theta}>) at this state, computed on first use and kept."""
+        """(planes, b) at this state, computed on first use and kept.
+
+        planes is a C-contiguous (2, N) float array, cos theta in row 0 and
+        sin theta in row 1, and b = <e^{i·theta}> is the complex of their row means.
+        """
         if self._phases is None:
             self._phases = _phase_factors(self.theta)
         return self._phases
@@ -213,42 +222,53 @@ def init_ensemble(config: SimConfig) -> EnsembleState:
 
 def derivative(state: EnsembleState) -> tuple[np.ndarray, np.ndarray, complex]:
     """(dtheta, dp, dfield) of the complex-field equations of motion."""
-    eith, b = _phase_factors(state.theta)
-    return state.p, _force(state.field, eith), b
+    planes, b = _phase_factors(state.theta)
+    # these phases are not kept, so the force's two terms may overwrite them
+    return state.p, _force(state.field, planes, planes), b
 
 
-def _force(c: complex, eith: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The pendulum force -2 Re(c·e^{-i·theta}) of the field c on each phase.
+def _force(c: complex, planes: np.ndarray, out, scale: float = 1.0) -> np.ndarray:
+    """The pendulum force -2 Re(c·e^{-i·theta}) of the field c on each phase, times scale.
 
-    Formed as Re(conj(-2c)·e^{i·theta}), the same bits, so no array is conjugated
-    or scaled; out (which may be eith) takes the complex product, and the force
-    is a view of its real part.
+    Formed as (-2 Re c)·scale·cos(theta) + (-2 Im c)·scale·sin(theta) from the
+    two rows of planes, with Python-float coefficients, so no array is complex,
+    conjugated, strided or scaled in a pass of its own; -2c is formed first, so
+    a field whose -2c overflows gives a non-finite force at any scale. out[0]
+    and out[1] (two arrays of N, or a (2, N) array, which may be planes) take
+    the two terms, and the force is out[0].
     """
-    return np.multiply(complex(-2.0 * c.real, 2.0 * c.imag), eith, out=out).real
+    force = np.multiply(planes[0], -2.0 * c.real * scale, out=out[0])
+    force += np.multiply(planes[1], -2.0 * c.imag * scale, out=out[1])
+    return force
 
 
 def _phase_factors(theta: np.ndarray,
                    out: np.ndarray | None = None) -> tuple[np.ndarray, complex]:
-    """(e^{i·theta}, <e^{i·theta}>): the module's one phase evaluation.
+    """(planes, <e^{i·theta}>): the module's one phase evaluation.
 
     From the half-angle formulas, with t = tan(theta/2) and s = 2/(1 + t²),
-    cos(theta) = s - 1 and sin(theta) = t·s go into the real and imaginary
-    parts of out (a new complex array if None). On AVX-512 CPUs numpy's
-    tan is vectorized (SVML) where its cos and sin are scalar libm calls;
-    t and s sit in contiguous temporaries, so each strided part of out is
-    written once. Each part is off the exact value by a few ulp of 1 (the
-    tests bound it by 2^-50). |t| stays far below 1e154 at a finite theta,
-    so t² does not overflow; an infinite or NaN theta gives NaN parts.
+    cos(theta) = s - 1 goes into row 0 and sin(theta) = t·s into row 1 of
+    planes, a C-contiguous (2, N) float array (out, or a new one if None): t
+    is formed in row 1 and s in row 0, so every pass is contiguous and no
+    temporary is made. On AVX-512 CPUs numpy's tan is vectorized (SVML)
+    where its cos and sin are scalar libm calls. Each row is off the exact
+    value by a few ulp of 1 (the tests bound it by 2^-50). |t| stays far
+    below 1e154 at a finite theta, so t² does not overflow; an infinite or
+    NaN theta gives NaN rows. The mean is one add.reduce over axis 1, which
+    sums each row pairwise with the bits of pairwise_sum of that row.
     """
-    eith = np.empty(theta.shape, dtype=complex) if out is None else out
-    t = np.multiply(theta, 0.5)
+    n = theta.shape[0]
+    planes = np.empty((2, n)) if out is None else out
+    t = np.multiply(theta, 0.5, out=planes[1])
     np.tan(t, out=t)
-    s = np.multiply(t, t)
+    # square's unary loop takes about half the time of multiply(t, t) here
+    s = np.square(t, out=planes[0])
     s += 1.0
     np.divide(2.0, s, out=s)
-    np.subtract(s, 1.0, out=eith.real)
-    np.multiply(t, s, out=eith.imag)
-    return eith, complex(pairwise_mean(eith))
+    t *= s
+    s -= 1.0
+    re, im = np.add.reduce(planes, axis=1).tolist()
+    return planes, complex(re / n, im / n)
 
 
 def _rk4(deriv, y: tuple, dt: float) -> tuple:
@@ -271,14 +291,13 @@ _DRIFTS = (_W1, _W0, _W1)
 _KICKS = (0.5 * _W1, 0.5 * (_W1 + _W0), 0.5 * (_W0 + _W1), 0.5 * _W1)
 
 
-def _kick(eith: np.ndarray, b: complex, p: np.ndarray, field: complex, h: float,
-          prod: np.ndarray, work: np.ndarray) -> complex:
+def _kick(planes: np.ndarray, b: complex, p: np.ndarray, field: complex, h: float,
+          work: tuple[np.ndarray, np.ndarray]) -> complex:
     """Exact flow over h with the phases frozen: the momenta take, in place, h times
-    the _force of the field's mean over h (the force is formed before the scaling by
-    h, as in derivative); returns the field moved by h·b. prod (which may be eith)
-    and work are scratch for the complex product and the increment."""
-    np.multiply(_force(field + (0.5 * h) * b, eith, out=prod), h, out=work)
-    p += work
+    the _force of the field's mean over h (h rides in the force's coefficients, so
+    no pass scales by it); returns the field moved by h·b. work holds two scratch
+    arrays of N for the force's two terms."""
+    p += _force(field + (0.5 * h) * b, planes, work, h)
     return field + h * b
 
 
@@ -295,23 +314,24 @@ def step(state: EnsembleState, dt: float) -> EnsembleState:
     # one copy of each array per step, updated in place: the input state is left as it is
     theta, p, field = state.theta.copy(), state.p.copy(), state.field
     with np.errstate(over="ignore", invalid="ignore"):
-        eith, b = state.phases()
-        # scratch is the inner phases and every kick's product; work every increment
-        scratch = np.empty_like(eith)
-        work = np.empty_like(p)
+        planes, b = state.phases()
+        # one scratch block: rows 0-1 take the inner phases, rows 2-3 every kick's
+        # two force terms and row 2 every drift's increment (work is a tuple of
+        # those rows, so no use makes a view)
+        block = np.empty((4, p.shape[0]))
+        scratch, work = block[:2], (block[2], block[3])
         for i, (kick, drift) in enumerate(zip(_KICKS, _DRIFTS)):
-            field = _kick(eith, b, p, field, kick * dt, scratch, work)
-            np.multiply(p, drift * dt, out=work)
-            theta += work
+            field = _kick(planes, b, p, field, kick * dt, work)
+            theta += np.multiply(p, drift * dt, out=work[0])
             # the last phases are kept by the returned state, so they get their own array
-            eith, b = _phase_factors(theta, scratch if i < len(_DRIFTS) - 1 else None)
-        field = _kick(eith, b, p, field, _KICKS[-1] * dt, scratch, work)
+            planes, b = _phase_factors(theta, scratch if i < len(_DRIFTS) - 1 else None)
+        field = _kick(planes, b, p, field, _KICKS[-1] * dt, work)
     # b is the mean of cos and sin of the final theta, each NaN at an infinite or NaN
     # theta and bounded by 1 at a finite one: b is finite exactly when every theta is
     if not (cmath.isfinite(b) and np.isfinite(p).all() and cmath.isfinite(field)):
         raise NumericalBlowupError(f"non-finite state after step at tau={state.tau!r}")
     # the caller assigns tau from the step index
-    return EnsembleState(theta, p, field, state.tau, (eith, b))
+    return EnsembleState(theta, p, field, state.tau, (planes, b))
 
 
 def run(config: SimConfig) -> tuple[Trajectory, Diagnostics]:

@@ -52,6 +52,15 @@ class CheckResult(NamedTuple):
     detail: str
 
 
+def _worst(deviations) -> float:
+    """The largest of the deviations, or NaN if any is NaN.
+
+    The checks reduce their deviations here and not with a running max(), which
+    keeps its first argument when the other is NaN and so drops a NaN deviation.
+    """
+    return float(np.max(np.fromiter(deviations, dtype=float)))
+
+
 def _check(name: str, deviation: float, bound: float) -> CheckResult:
     return CheckResult(
         name=name,
@@ -72,7 +81,7 @@ def check_quadrature_elements() -> CheckResult:
         ((1, 0, 0, 0, 1), 0.0),
         ((0, 0, 0, 0, 3), 0.0),
     ]
-    worst = max(
+    worst = _worst(
         abs(dipole_matrix_element(*args) - expected) for args, expected in targets
     )
     return _check("quadrature matrix elements vs analytic", worst, 1e-9)
@@ -81,25 +90,23 @@ def check_quadrature_elements() -> CheckResult:
 def check_su2_algebra() -> CheckResult:
     ops = energy_spins()
     mats = [ops.s1, ops.s2, ops.s3]
-    worst = 0.0
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-        worst = max(worst, float(np.abs(comm - 1j * mats[k]).max()))
+    deviations = [np.abs(mats[i] @ mats[j] - mats[j] @ mats[i] - 1j * mats[k]).max()
+                  for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
     casimir = sum(m @ m for m in mats)
-    worst = max(worst, float(np.abs(casimir - 0.75 * np.eye(2)).max()))
-    return _check("su(2) commutators and Casimir", worst, 1e-14)
+    deviations.append(np.abs(casimir - 0.75 * np.eye(2)).max())
+    return _check("su(2) commutators and Casimir", _worst(deviations), 1e-14)
 
 
 def check_superradiant_geometry() -> CheckResult:
     rng = np.random.default_rng(2024)
-    worst = 0.0
+    deviations = []
     for _ in range(200):
         t1, t2 = rng.uniform(-10.0, 10.0, 2)
         pair = superradiant_pair(t1, t2)
-        worst = max(worst, abs(float(np.vdot(pair.psi_g, pair.psi_g).real) - 2.0 / 3.0))
-        worst = max(worst, abs(float(np.vdot(pair.psi_e, pair.psi_e).real) - 2.0 / 3.0))
-        worst = max(worst, abs(abs(complex(np.vdot(pair.psi_g, pair.psi_e))) - 1.0 / 3.0))
-    return _check("superradiant norms 2/3 and overlap 1/3", worst, 1e-14)
+        deviations += [abs(float(np.vdot(pair.psi_g, pair.psi_g).real) - 2.0 / 3.0),
+                       abs(float(np.vdot(pair.psi_e, pair.psi_e).real) - 2.0 / 3.0),
+                       abs(abs(complex(np.vdot(pair.psi_g, pair.psi_e))) - 1.0 / 3.0)]
+    return _check("superradiant norms 2/3 and overlap 1/3", _worst(deviations), 1e-14)
 
 
 def check_ponderomotive_two_paths() -> CheckResult:
@@ -107,7 +114,7 @@ def check_ponderomotive_two_paths() -> CheckResult:
     rotor = build_rotor()
     rng = np.random.default_rng(777)
     scale0 = rotor.omega_c * rotor.d0_tilde
-    worst = 0.0
+    deviations = []
     for _ in range(_DRAWS):
         A0 = rng.uniform(0.0, 2.0)
         phi0, theta, delta = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 3)
@@ -122,9 +129,10 @@ def check_ponderomotive_two_paths() -> CheckResult:
             / (2.0 * _SQRT3)
         )
         denom = max(A0 * scale0, 1e-300)
-        worst = max(worst, abs(value - closed) / denom)
+        deviations.append(abs(value - closed) / denom)
     return _check(
-        f"ponderomotive numeric vs closed form ({_DRAWS} draws, relative)", worst, 1e-12
+        f"ponderomotive numeric vs closed form ({_DRAWS} draws, relative)",
+        _worst(deviations), 1e-12,
     )
 
 
@@ -136,7 +144,8 @@ def check_xi1_invariance() -> CheckResult:
     for _ in range(100):
         frame = make_frame(rng.uniform(0.0, math.pi), xi2)
         values.append(ponderomotive_term(A0, phi0, theta, delta, frame, rotor, "g"))
-    spread = (max(values) - min(values)) / (A0 * rotor.omega_c * rotor.d0_tilde)
+    # np.ptp, unlike max() - min(), is NaN when any value is
+    spread = float(np.ptp(values)) / (A0 * rotor.omega_c * rotor.d0_tilde)
     return _check("frame-angle xi1 invariance (relative spread)", spread, 1e-12)
 
 
@@ -151,7 +160,7 @@ def check_eq_ave_aggregation() -> CheckResult:
     rotor = build_rotor()
     rng = np.random.default_rng(780)
     scale0 = rotor.omega_c * rotor.d0_tilde
-    worst = 0.0
+    deviations = []
     for _ in range(_SHELLS):
         A0 = float(rng.uniform(0.0, 2.0))
         phi0, theta, delta = (float(x) for x in rng.uniform(-6.0, 6.0, 3))
@@ -168,34 +177,34 @@ def check_eq_ave_aggregation() -> CheckResult:
         n_g, n_e = 2 * pairs_g, 2 * pairs_e
         shell = per_ion_ponderomotive(A0, phi0, theta, delta, n_g - n_e, P_z, rotor)
         scale = max(A0 * scale0 * (n_g + n_e), 1e-300)
-        worst = max(worst, abs(shell - total) / scale)
+        deviations.append(abs(shell - total) / scale)
     return _check(
         f"shell aggregation vs sum over molecules ({_SHELLS} shells, relative)",
-        worst, 1e-12,
+        _worst(deviations), 1e-12,
     )
 
 
 def check_free_energy_expectations() -> CheckResult:
     rotor = build_rotor()
     rng = np.random.default_rng(781)
-    worst = 0.0
+    deviations = []
     for _ in range(100):
         pair = superradiant_pair(*rng.uniform(-8.0, 8.0, 2))
         for which in ("g", "e"):
             value = free_energy_expectation(pair, which, rotor.E_split)
-            worst = max(worst, abs(value + rotor.E_split / 6.0) / rotor.E_split)
-    return _check("free-energy expectation -E_split/6 per state", worst, 1e-14)
+            deviations.append(abs(value + rotor.E_split / 6.0) / rotor.E_split)
+    return _check("free-energy expectation -E_split/6 per state", _worst(deviations), 1e-14)
 
 
 def check_polarization_forms() -> CheckResult:
     rng = np.random.default_rng(782)
-    worst = 0.0
+    deviations = []
     for _ in range(_DRAWS):
         alpha = float(rng.uniform(-math.pi, math.pi))
         value = permanent_polarization(alpha)
-        worst = max(worst, abs(value - math.sin(2.0 * alpha) / (3.0 * _SQRT3)))
+        deviations.append(abs(value - math.sin(2.0 * alpha) / (3.0 * _SQRT3)))
     return _check(
-        f"weighted vs closed-form polarization ({_DRAWS} draws)", worst, 1e-12
+        f"weighted vs closed-form polarization ({_DRAWS} draws)", _worst(deviations), 1e-12
     )
 
 
@@ -211,14 +220,14 @@ def check_linear_regime() -> CheckResult:
     start = init_ensemble(_LINEAR_RUN)
     a0, b0 = start.field, start.bunching()
     traj, _ = run(_LINEAR_RUN)
-    worst = 0.0
+    deviations = []
     for tau, amp in zip(traj.tau.tolist(), traj.amp.tolist()):
         if amp > 1e-2:
             break
         deviation = abs(amp / abs(linear_field(tau, a0, b0)) - 1.0)
-        worst = max(worst, deviation - 0.25 * amp * amp)
+        deviations.append(deviation - 0.25 * amp * amp)
     return _check("linear regime vs closed form (N=512 quiet start, relative, "
-                  "less 0.25·amp²)", worst, 1e-6)
+                  "less 0.25·amp²)", _worst(deviations), 1e-6)
 
 
 ALL_CHECKS = (

@@ -1,7 +1,9 @@
 """CLI subcommands and exit-code contract."""
 
 import argparse
+import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -74,6 +76,16 @@ def test_verify_passes(capsys):
 # of 1e-9 unless it says otherwise), and the checks that must report it,
 # named without the parenthesised draw counts; every other check must pass.
 _FAULT = 1.0 + 1e-9
+
+
+def nan_on_call(k):
+    """A fault that makes a function return NaN on its k-th call alone."""
+    def fault(f):
+        calls = itertools.count(1)
+        return lambda *args: math.nan if next(calls) == k else f(*args)
+    return fault
+
+
 DERIVATION_FAULTS = {
     "z-matrix-element": (quadrature, "_Z_MATRIX_ELEMENT", lambda v: v * _FAULT,
                          {"weighted vs closed-form polarization"}),
@@ -84,6 +96,9 @@ DERIVATION_FAULTS = {
     "per-ion-prefactor": (verify, "per_ion_ponderomotive",
                           lambda f: lambda *args: f(*args) * _FAULT,
                           {"shell aggregation vs sum over molecules"}),
+    # one NaN shell among the 50: a running max that drops NaN reports the other 49
+    "per-ion-nan-once": (verify, "per_ion_ponderomotive", nan_on_call(5),
+                         {"shell aggregation vs sum over molecules"}),
     # s2[0, 1] off, so s2 is not Hermitian; energy_spins builds its record
     # through this name, for verify's su(2) check as for spin_expectation
     "non-hermitian-s2": (spinstates, "SpinOperators",

@@ -19,7 +19,6 @@ from aquafel.dynamics import (
     _rk4,
     derivative,
     init_ensemble,
-    pairwise_mean,
     pairwise_sum,
     polar_derivative,
     polar_equivalence,
@@ -392,17 +391,23 @@ def rk4_fields(cfg):
 
 
 def test_a_kick_is_the_derivative_force_at_the_mid_field():
-    # the integrator's kicks and the RK4 cross-check's derivative share one force
+    # the integrator's kicks and the RK4 cross-check's derivative share one force; a
+    # kick carries h in the force's coefficients as (-2c)·h, and scaling by 2 is
+    # exact, so it adds the bits of derivative's force at h times the mid field
     rng = np.random.default_rng(777)
     n, h = 777, 0.0123
     theta, p = rng.uniform(0.0, 2.0 * math.pi, n), rng.normal(0.0, 0.3, n)
     field = 0.3 + 0.2j
-    eith, b = dynamics._phase_factors(theta)
+    planes, b = dynamics._phase_factors(theta)
     kicked = p.copy()
-    moved = dynamics._kick(eith, b, kicked, field, h, np.empty_like(eith), np.empty_like(p))
-    mid = EnsembleState(theta, p, field + (0.5 * h) * b, 0.0)
-    assert np.array_equal(bits(kicked), bits(p + h * derivative(mid)[1]))
+    moved = dynamics._kick(planes, b, kicked, field, h, (np.empty(n), np.empty(n)))
+    mid = field + (0.5 * h) * b
+    scaled = EnsembleState(theta, p, h * mid, 0.0)
+    assert np.array_equal(bits(kicked), bits(p + derivative(scaled)[1]))
     assert np.array_equal(bits(moved), bits(field + h * b))
+    # and, to rounding, h times the force at the mid field
+    force = derivative(EnsembleState(theta, p, mid, 0.0))[1]
+    assert np.max(np.abs(kicked - (p + h * force))) <= 2.0**-52
 
 
 def test_run_matches_rk4_through_saturation(saturating_run):
@@ -482,8 +487,9 @@ def bits(values):
 
 
 def test_phase_factors_are_exp_to_within_2_pow_minus_50(saturating_run):
-    # the half-angle formulas do not give libm's bits, but each part is within 2^-50
-    # of np.exp's (4.0e-16 at most here), and the modulus is within 2^-50 of 1
+    # the half-angle formulas do not give libm's bits, but each row is within 2^-50
+    # of np.exp's parts (4.0e-16 at most here), and the modulus is within 2^-50 of 1;
+    # b is the two row means, each row summed as pairwise_sum sums it
     cfg = saturating_run[0]
     state = init_ensemble(cfg)
     quiet_start = state.theta
@@ -500,16 +506,20 @@ def test_phase_factors_are_exp_to_within_2_pow_minus_50(saturating_run):
         init_ensemble(cfg._replace(n_particles=16384)).theta,
     ]
     for theta in cases:
-        eith, b = dynamics._phase_factors(theta)
+        planes, b = dynamics._phase_factors(theta)
+        n = theta.shape[0]
+        assert planes.shape == (2, n) and planes.dtype == float and planes.flags.c_contiguous
+        eith = planes[0] + 1j * planes[1]
         assert np.max(np.abs(eith - np.exp(1j * theta))) <= 2.0**-50
         assert np.max(np.abs(np.abs(eith) - 1.0)) <= 2.0**-50
-        assert np.array_equal(bits(b), bits(complex(pairwise_mean(eith))))
-    # a non-finite phase gives non-finite parts, so step's blowup check fires
+        means = complex(pairwise_sum(planes[0]) / n, pairwise_sum(planes[1]) / n)
+        assert np.array_equal(bits(b), bits(means))
+    # a non-finite phase gives non-finite rows, so step's blowup check fires
     with np.errstate(invalid="ignore"):
-        eith, b = dynamics._phase_factors(np.array([math.inf, -math.inf, math.nan]))
-    assert not np.isfinite(eith.real).any() and not np.isfinite(eith.imag).any()
+        planes, b = dynamics._phase_factors(np.array([math.inf, -math.inf, math.nan]))
+    assert not np.isfinite(planes).any()
     assert not cmath.isfinite(b)
-    assert dynamics._phase_factors(np.array([-0.0]))[0] == 1.0
+    assert dynamics._phase_factors(np.array([-0.0]))[0].tolist() == [[1.0], [0.0]]
 
 
 def test_step_scratch_arrays_alias_no_kept_array():
@@ -613,6 +623,19 @@ def test_pairwise_sum_bits_follow_the_length_alone():
                 assert same_bits(pairwise_sum(values), want), (n, dtype)
                 for offset in range(0, 64, 8):
                     assert same_bits(pairwise_sum(at_offset(values, offset)), want), (n, dtype, offset)
+
+
+def test_row_sums_are_the_pairwise_sums_of_each_row():
+    # _phase_factors sums the cos and sin rows of its (2, N) planes with one
+    # add.reduce over axis 1: each row gets pairwise_sum's bits, at any alignment
+    rng = np.random.default_rng(41)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in PAIRWISE_LENGTHS:
+            planes = wide_values(rng, (2, n), float)
+            for offset in (0, 8, 24):
+                rows = np.add.reduce(at_offset(planes.ravel(), offset).reshape(2, n), axis=1)
+                for k in (0, 1):
+                    assert same_bits(rows[k], pairwise_sum(planes[k])), (n, offset, k)
 
 
 def test_pairwise_sum_rejects_rows():
