@@ -44,9 +44,10 @@ formulas into the two rows of one C-contiguous (2, N) float array, and
 their two row means) 3 times, and a recorded bunching factor is the
 cached b, at no extra evaluation. The phases are held as two planes, not
 as a complex array, so every write and every read of a kick is
-contiguous. The first two evaluations, the kicks' force terms and the
-drifts' increments go into one (4, N) scratch block that the step
-allocates once; only the phases it keeps are a new array.
+contiguous. The step allocates one (4, N) block: every evaluation writes
+its phases into rows 0-1, the kicks' force terms and the drifts'
+increments go into rows 2-3, and the state it returns keeps rows 0-1 as
+its phases, which no later step writes.
 
 The phases are within 2^-50 of cos and sin, not their bits: results are
 bitwise reproducible on one machine, but their last bits follow numpy's
@@ -142,23 +143,20 @@ def _column(j: int, doc: str) -> property:
 class Trajectory:
     """Recorded time series, one row per recorded step.
 
-    The constructor copies the seven columns into one row-major (n, 7)
-    table, in the column order of a trajectory CSV, and makes it read-only;
-    the columns are views of it. A trajectory compares and hashes by
-    identity. Code that sets the table's writeable flag back on and changes
-    it gets no guarantee from the memos in scenario.
+    The constructor takes one (n, 7) table (an array or a sequence of rows),
+    in the column order of a trajectory CSV, copies it into a row-major
+    float64 array and makes that read-only; the columns are views of it. Any
+    other shape, ragged rows included, raises ValueError. A trajectory
+    compares and hashes by identity. Code that sets the table's writeable
+    flag back on and changes it gets no guarantee from the memos in scenario.
     """
 
     __slots__ = ("_table",)
 
-    def __init__(self, tau, amp, phi, bunch_re, bunch_im, p_mean, conserved) -> None:
-        # np.stack, unlike np.column_stack, rejects unequal lengths and turns
-        # 2-D columns into a 3-D table instead of widening the table
-        table = np.stack([tau, amp, phi, bunch_re, bunch_im, p_mean, conserved], axis=1,
-                         dtype=float)
-        if table.ndim != 2:
-            raise ValueError(f"a Trajectory takes seven 1-D columns of one length, "
-                             f"got a table of shape {table.shape}")
+    def __init__(self, table) -> None:
+        table = np.array(table, dtype=float, order="C")
+        if table.ndim != 2 or table.shape[1] != 7:
+            raise ValueError(f"a Trajectory takes an (n, 7) table, got shape {table.shape}")
         table.flags.writeable = False
         self._table = table
 
@@ -301,11 +299,6 @@ def _kick(planes: np.ndarray, b: complex, p: np.ndarray, field: complex, h: floa
     return field + h * b
 
 
-def _require_finite(theta, p, field: complex, tau: float) -> None:
-    if not (np.isfinite(theta).all() and np.isfinite(p).all() and cmath.isfinite(field)):
-        raise NumericalBlowupError(f"non-finite state after step at tau={tau!r}")
-
-
 def step(state: EnsembleState, dt: float) -> EnsembleState:
     """One fourth-order symplectic step to a state built with its closing kick's phases;
     raises NumericalBlowupError on non-finite state."""
@@ -315,16 +308,15 @@ def step(state: EnsembleState, dt: float) -> EnsembleState:
     theta, p, field = state.theta.copy(), state.p.copy(), state.field
     with np.errstate(over="ignore", invalid="ignore"):
         planes, b = state.phases()
-        # one scratch block: rows 0-1 take the inner phases, rows 2-3 every kick's
-        # two force terms and row 2 every drift's increment (work is a tuple of
-        # those rows, so no use makes a view)
+        # the step's one block: rows 0-1 take every phase evaluation, and the returned
+        # state keeps the last; rows 2-3 take every kick's two force terms and row 2
+        # every drift's increment (work is a tuple of those rows, so no use makes a view)
         block = np.empty((4, p.shape[0]))
-        scratch, work = block[:2], (block[2], block[3])
-        for i, (kick, drift) in enumerate(zip(_KICKS, _DRIFTS)):
+        kept, work = block[:2], (block[2], block[3])
+        for kick, drift in zip(_KICKS, _DRIFTS):
             field = _kick(planes, b, p, field, kick * dt, work)
             theta += np.multiply(p, drift * dt, out=work[0])
-            # the last phases are kept by the returned state, so they get their own array
-            planes, b = _phase_factors(theta, scratch if i < len(_DRIFTS) - 1 else None)
+            planes, b = _phase_factors(theta, kept)
         field = _kick(planes, b, p, field, _KICKS[-1] * dt, work)
     # b is the mean of cos and sin of the final theta, each NaN at an infinite or NaN
     # theta and bounded by 1 at a finite one: b is finite exactly when every theta is
@@ -354,7 +346,7 @@ def run(config: SimConfig) -> tuple[Trajectory, Diagnostics]:
                 raise NumericalBlowupError(f"non-finite <p> + |field|^2 at tau={s.tau!r}")
             rows.append((s.tau, s.amp, s.phi, b.real, b.imag, pm, conserved))
             p_max_abs = max(p_max_abs, float(np.abs(s.p).max()))
-    traj = Trajectory(*np.array(rows).T)
+    traj = Trajectory(rows)
     return traj, _diagnose(traj, config, p_max_abs)
 
 
@@ -408,7 +400,7 @@ def _first_local_max(amp: np.ndarray, floor: float) -> int | None:
 
 def polar_derivative(theta, p, amp: float, phi: float):
     """(dtheta, dp, damp, dphi) of the literal polar-form equations."""
-    if amp < POLAR_AMP_FLOOR:
+    if not (amp >= POLAR_AMP_FLOOR):
         raise PolarSingularityError(
             f"polar form requires amp >= {POLAR_AMP_FLOOR:g}, got {amp!r}"
         )
@@ -424,7 +416,8 @@ def polar_equivalence(config: SimConfig) -> float:
 
     Both forms start from identical initial data and advance in lockstep
     with the same RK4 combine (_rk4), so the deviation measures the
-    formulations and not the integrator; it is sampled once per step.
+    formulations and not the integrator; it is sampled once per step, and a
+    NaN deviation at any step is the result.
     """
     def complex_derivative(theta, p, field):
         return derivative(EnsembleState(theta, p, field, 0.0))
@@ -432,14 +425,15 @@ def polar_equivalence(config: SimConfig) -> float:
     start = init_ensemble(config)
     cplx = (start.theta, start.p, start.field)
     polar = (start.theta, start.p, start.amp, start.phi)
-    max_dev = 0.0
+    deviations = []
     for i in range(config.n_steps):
         with np.errstate(over="ignore", invalid="ignore"):
             cplx = _rk4(complex_derivative, cplx, config.dt)
-        _require_finite(*cplx, i * config.dt)
+        theta, p, field = cplx
+        if not (np.isfinite(theta).all() and np.isfinite(p).all() and cmath.isfinite(field)):
+            raise NumericalBlowupError(f"non-finite state after step at tau={i * config.dt!r}")
         polar = _rk4(polar_derivative, polar, config.dt)
-        dev = abs(polar[2] * np.exp(-1j * polar[3]) - cplx[2])
-        if dev > max_dev:
-            max_dev = float(dev)
-    return max_dev
+        deviations.append(abs(polar[2] * np.exp(-1j * polar[3]) - field))
+    # np.max, unlike a running max, keeps a NaN deviation
+    return float(np.max(deviations))
 

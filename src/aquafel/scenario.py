@@ -233,7 +233,7 @@ def read_trajectory_csv(path: str | Path) -> Trajectory:
         if len(row) != width or not all(map(math.isfinite, row)):
             raise ValueError(f"{path}:{lineno}: expected {width} finite numbers, got {line!r}")
         rows.append(row)
-    return Trajectory(*np.array(rows).reshape(-1, width).T)
+    return Trajectory(rows or np.empty((0, width)))
 
 
 # --- slippage diagnostic ------------------------------------------------------

@@ -1,6 +1,7 @@
 """Integrator correctness: initialization, conservation, order, growth."""
 
 import cmath
+import itertools
 import math
 import sys
 import threading
@@ -131,6 +132,8 @@ def test_polar_singularity_guard():
     n = 8
     with pytest.raises(PolarSingularityError):
         polar_derivative(np.zeros(n), np.zeros(n), 0.0, 0.0)
+    with pytest.raises(PolarSingularityError):
+        polar_derivative(np.zeros(n), np.zeros(n), math.nan, 0.0)
 
 
 # --- stepping -----------------------------------------------------------------
@@ -184,8 +187,8 @@ def test_conserved_drift_over_ten_thousand_steps():
 def test_step_leaves_its_input_state_as_it_was():
     # step updates its own copies in place; the input's arrays and kept phases stay
     state = step(init_ensemble(small_config(n_particles=64)), 0.01)
-    eith, b = state.phases()
-    before = (state.theta.copy(), state.p.copy(), eith.copy(), b, state.field)
+    planes, b = state.phases()
+    before = (state.theta.copy(), state.p.copy(), planes.copy(), b, state.field)
     first, second = step(state, 0.01), step(state, 0.01)
     after = (state.theta, state.p, *state.phases(), state.field)
     for old, new in zip(before, after):
@@ -313,6 +316,31 @@ def test_polar_equivalence_over_growth_phase():
     cfg = SimConfig(n_particles=1024, dt=0.01, tau_end=10.0, seed_amp=1e-4,
                     init_mode="quiet-start", rng_seed=7, record_stride=10)
     assert polar_equivalence(cfg) < 1e-6
+
+
+@pytest.mark.parametrize("output", [2, 3], ids=["damp", "dphi"])
+@pytest.mark.parametrize("call", [81, 200], ids=["mid-run", "last-call"])
+def test_polar_equivalence_keeps_a_nan_from_the_polar_form(monkeypatch, output, call):
+    # one NaN damp or dphi from the 81st of the 200 polar derivatives (4 a step, 50
+    # steps) makes a later stage's amp NaN, which the guard rejects; from the last one
+    # it makes the last step's deviation NaN, which is then the result
+    cfg = SimConfig(n_particles=64, dt=0.01, tau_end=0.5, seed_amp=1e-4, rng_seed=7)
+    assert polar_equivalence(cfg) < 1e-14
+    calls = itertools.count(1)
+    clean = dynamics.polar_derivative
+
+    def faulty(*args):
+        derivatives = list(clean(*args))
+        if next(calls) == call:
+            derivatives[output] = math.nan
+        return tuple(derivatives)
+
+    monkeypatch.setattr(dynamics, "polar_derivative", faulty)
+    if call < 4 * cfg.n_steps:
+        with pytest.raises(PolarSingularityError, match="got nan"):
+            polar_equivalence(cfg)
+    else:
+        assert math.isnan(polar_equivalence(cfg))
 
 
 # --- exact oracles --------------------------------------------------------------
