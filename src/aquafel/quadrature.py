@@ -74,20 +74,21 @@ def direction_cosine(axis: int, theta, phi):
     raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
 
 
-def _sphere_grid(n_theta: int, n_phi: int):
-    """Tensor quadrature grid (theta, phi, weights) over the unit sphere."""
-    x, wx = np.polynomial.legendre.leggauss(n_theta)
-    theta = np.arccos(x)
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    wphi = 2.0 * math.pi / n_phi
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    ww = np.outer(wx, np.full(n_phi, wphi))
-    return tt, pp, ww
+def _sphere_grid():
+    """Tensor quadrature grid (theta, phi, weights) over the unit sphere; built once,
+    at import, as the module's one grid (_THETA, _PHI, _WEIGHTS)."""
+    x, wx = np.polynomial.legendre.leggauss(GAUSS_LEGENDRE_ORDER)
+    phi = 2.0 * math.pi * np.arange(TRAPEZOID_ORDER) / TRAPEZOID_ORDER
+    tt, pp = np.meshgrid(np.arccos(x), phi, indexing="ij")
+    return tt, pp, np.outer(wx, np.full(TRAPEZOID_ORDER, 2.0 * math.pi / TRAPEZOID_ORDER))
 
 
-def sphere_integral(values: np.ndarray, weights: np.ndarray) -> complex:
-    """Weighted sum of sampled integrand values over the sphere grid."""
-    return complex(np.sum(values * weights))
+_THETA, _PHI, _WEIGHTS = _sphere_grid()
+
+
+def sphere_integral(values: np.ndarray) -> complex:
+    """Weighted sum of integrand values sampled on the grid (_THETA, _PHI)."""
+    return complex(np.sum(values * _WEIGHTS))
 
 
 def dipole_matrix_element(l1: int, m1: int, l2: int, m2: int, axis: int) -> complex:
@@ -97,18 +98,15 @@ def dipole_matrix_element(l1: int, m1: int, l2: int, m2: int, axis: int) -> comp
     (l in {0, 1}, |m| <= l). Absolute accuracy is better than 1e-9 by
     construction of the grid.
     """
-    for l, m in ((l1, m1), (l2, m2)):
+    for l in (l1, l2):
         if l not in (0, 1):
             raise ValueError(f"l must be 0 or 1 for dipole elements, got l={l}")
-        if abs(m) > l:
-            raise ValueError(f"invalid quantum numbers (l={l}, m={m})")
-    tt, pp, ww = _sphere_grid(GAUSS_LEGENDRE_ORDER, TRAPEZOID_ORDER)
     integrand = (
-        np.conj(spherical_harmonic(l1, m1, tt, pp))
-        * direction_cosine(axis, tt, pp)
-        * spherical_harmonic(l2, m2, tt, pp)
+        np.conj(spherical_harmonic(l1, m1, _THETA, _PHI))
+        * direction_cosine(axis, _THETA, _PHI)
+        * spherical_harmonic(l2, m2, _THETA, _PHI)
     )
-    return sphere_integral(integrand, ww)
+    return sphere_integral(integrand)
 
 
 # <1,0| cos(theta) |0,0> computed once by the quadrature (= 1/sqrt(3)).

@@ -25,9 +25,16 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    # k / (count - 1) first, so a span near the largest double does not overflow
-    return [lo + (hi - lo) * (k / (count - 1)) for k in range(count)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    # k / 4 first, so a span near the largest double does not overflow
+    return [lo + (hi - lo) * (k / 4) for k in range(5)]
+
+
+def _text(x, y, anchor: str, size: int, body: str, fill: str | None = None) -> str:
+    """One <text> element in the chart's font, x and y written as given."""
+    paint = "" if fill is None else f' fill="{fill}"'
+    return (f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-size="{size}" '
+            f'font-family="sans-serif"{paint}>{body}</text>')
 
 
 def _finite(coord: float, axis: str, lo: float, hi: float) -> float:
@@ -81,46 +88,29 @@ def render_svg(traj: Trajectory, log_scale: bool = False) -> str:
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_ML}" y="{_MT}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="black" stroke-width="1"/>',
-        f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" font-size="15" '
-        'font-family="sans-serif">field amplitude and bunching vs scaled time</text>',
+        _text(_WIDTH // 2, 24, "middle", 15, "field amplitude and bunching vs scaled time"),
     ]
+    x_axis = _MT + plot_h
     for xt in _ticks(x_lo, x_hi):
-        parts.append(
-            f'<line x1="{_fmt(sx(xt))}" y1="{_MT + plot_h}" x2="{_fmt(sx(xt))}" '
-            f'y2="{_MT + plot_h + 5}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(sx(xt))}" y="{_MT + plot_h + 20}" text-anchor="middle" '
-            f'font-size="11" font-family="sans-serif">{xt:.4g}</text>'
-        )
+        x = _fmt(sx(xt))
+        parts.append(f'<line x1="{x}" y1="{x_axis}" x2="{x}" y2="{x_axis + 5}" stroke="black"/>')
+        parts.append(_text(x, x_axis + 20, "middle", 11, f"{xt:.4g}"))
     for yt in _ticks(y_lo, y_hi):
-        parts.append(
-            f'<line x1="{_ML - 5}" y1="{_fmt(sy(yt))}" x2="{_ML}" y2="{_fmt(sy(yt))}" '
-            'stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{_ML - 9}" y="{_fmt(sy(yt) + 4.0)}" text-anchor="end" '
-            f'font-size="11" font-family="sans-serif">{yt:.4g}</text>'
-        )
-    parts.append(polyline(tau, amp, "#c22"))
-    parts.append(polyline(tau, bmag, "#26c"))
-    parts.append(
-        f'<text x="{_WIDTH - _MR - 10}" y="{_MT + 18}" text-anchor="end" font-size="12" '
-        'font-family="sans-serif" fill="#c22">amplitude</text>'
-    )
-    parts.append(
-        f'<text x="{_WIDTH - _MR - 10}" y="{_MT + 34}" text-anchor="end" font-size="12" '
-        'font-family="sans-serif" fill="#26c">|bunching|</text>'
-    )
-    parts.append(
-        f'<text x="{_WIDTH // 2}" y="{_HEIGHT - 12}" text-anchor="middle" font-size="12" '
-        'font-family="sans-serif">scaled time</text>'
-    )
-    parts.append(
+        y = sy(yt)
+        mark = _fmt(y)
+        parts.append(f'<line x1="{_ML - 5}" y1="{mark}" x2="{_ML}" y2="{mark}" stroke="black"/>')
+        parts.append(_text(_ML - 9, _fmt(y + 4.0), "end", 11, f"{yt:.4g}"))
+    parts += [
+        polyline(tau, amp, "#c22"),
+        polyline(tau, bmag, "#26c"),
+        _text(_WIDTH - _MR - 10, _MT + 18, "end", 12, "amplitude", "#c22"),
+        _text(_WIDTH - _MR - 10, _MT + 34, "end", 12, "|bunching|", "#26c"),
+        _text(_WIDTH // 2, _HEIGHT - 12, "middle", 12, "scaled time"),
+        # the rotated label's attributes come in an order of their own
         f'<text x="16" y="{_MT + plot_h // 2}" font-size="12" font-family="sans-serif" '
-        f'transform="rotate(-90 16 {_MT + plot_h // 2})" text-anchor="middle">{y_label}</text>'
-    )
-    parts.append("</svg>")
+        f'transform="rotate(-90 16 {_MT + plot_h // 2})" text-anchor="middle">{y_label}</text>',
+        "</svg>",
+    ]
     return "\n".join(parts) + "\n"
 
 

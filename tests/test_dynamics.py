@@ -318,6 +318,13 @@ def test_polar_equivalence_over_growth_phase():
     assert polar_equivalence(cfg) < 1e-6
 
 
+def test_polar_equivalence_rejects_a_non_finite_state():
+    # a seed field of 1e308 overflows in the complex form's first RK4 step
+    cfg = SimConfig(n_particles=8, dt=0.01, tau_end=0.02, seed_amp=1e308)
+    with pytest.raises(NumericalBlowupError, match=r"^non-finite state after step at tau=0\.0$"):
+        polar_equivalence(cfg)
+
+
 @pytest.mark.parametrize("output", [2, 3], ids=["damp", "dphi"])
 @pytest.mark.parametrize("call", [81, 200], ids=["mid-run", "last-call"])
 def test_polar_equivalence_keeps_a_nan_from_the_polar_form(monkeypatch, output, call):

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from aquafel import quadrature
 from aquafel.quadrature import (
-    _sphere_grid,
+    _PHI,
+    _THETA,
     dipole_matrix_element,
     direction_cosine,
     sphere_integral,
@@ -62,27 +64,35 @@ def test_out_of_range_quantum_numbers_rejected():
         dipole_matrix_element(1, 0, 0, 0, 4)
     with pytest.raises(ValueError):
         spherical_harmonic(3, 0, 0.1, 0.2)
+    for l, m in ((1, 2), (-1, 0), (2, -3)):
+        with pytest.raises(ValueError, match="invalid quantum numbers"):
+            spherical_harmonic(l, m, 0.1, 0.2)
+
+
+def test_the_grid_is_built_once(monkeypatch):
+    # dipole_matrix_element integrates on the grid built at import, not a new one
+    def rebuilt():
+        raise AssertionError("the sphere grid was built again")
+
+    monkeypatch.setattr(quadrature, "_sphere_grid", rebuilt)
+    assert abs(dipole_matrix_element(1, 0, 0, 0, 3) - 1.0 / math.sqrt(3.0)) < TOL
 
 
 def test_harmonics_orthonormal_on_grid():
     # the grid must integrate all l <= 2 products exactly
-    tt, pp, ww = _sphere_grid(16, 64)
     states = [(l, m) for l in range(3) for m in range(-l, l + 1)]
     for la, ma in states:
         for lb, mb in states:
-            ya = spherical_harmonic(la, ma, tt, pp)
-            yb = spherical_harmonic(lb, mb, tt, pp)
-            overlap = sphere_integral(np.conj(ya) * yb, ww)
+            ya = spherical_harmonic(la, ma, _THETA, _PHI)
+            yb = spherical_harmonic(lb, mb, _THETA, _PHI)
+            overlap = sphere_integral(np.conj(ya) * yb)
             expected = 1.0 if (la, ma) == (lb, mb) else 0.0
             assert abs(overlap - expected) < 1e-12, (la, ma, lb, mb)
 
 
 def test_direction_cosines_unit_norm():
-    tt, pp, ww = _sphere_grid(16, 64)
-    total = sum(
-        sphere_integral(direction_cosine(a, tt, pp) ** 2, ww) for a in (1, 2, 3)
-    )
+    total = sum(sphere_integral(direction_cosine(a, _THETA, _PHI) ** 2) for a in (1, 2, 3))
     # sum of squared direction cosines is 1; sphere area is 4 pi
     assert abs(total - 4.0 * math.pi) < 1e-12
     with pytest.raises(ValueError):
-        direction_cosine(0, tt, pp)
+        direction_cosine(0, _THETA, _PHI)
