@@ -68,6 +68,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import NumericalBlowupError, SimConfig
+from .scaling import _CUBE_ROOTS_OF_MINUS_I
 
 #: Phase perturbation amplitude of the quiet start.
 QUIET_START_PERTURBATION = 1e-6
@@ -75,6 +76,11 @@ QUIET_START_PERTURBATION = 1e-6
 POLAR_AMP_FLOOR = 1e-9
 #: The top of the linear regime: the growth-rate fit window ends here.
 _LINEAR_TOP = 0.1
+#: The linear theory's rates, the cube roots of -i, scaled so the growing one's real part is 1.
+_UNIT_RATES = np.array(_CUBE_ROOTS_OF_MINUS_I) / (math.sqrt(3.0) / 2.0)
+#: The growth-rate fit searches this bracket, down to this width.
+_RATE_BRACKET = (0.01, 10.0)
+_RATE_TOL = 1e-10
 
 
 class PolarSingularityError(RuntimeError):
@@ -183,9 +189,8 @@ class Diagnostics(NamedTuple):
     bunching is the complex bunching factor at saturation (or at the end
     if no saturation peak was found); sat_peak/sat_tau locate the first
     local maximum of the field amplitude above min(0.1, 100·max(seed_amp,
-    |b0|)), with b0 the initial bunching; growth_rate_fit is the
-    least-squares slope of ln(amp) over the exponential-gain window
-    amp in [10·seed_amp, 0.1].
+    |b0|)), with b0 the initial bunching; growth_rate_fit is the rate of
+    the linear theory fitted to the records below amp = 0.1 (_fit_growth_rate).
     """
 
     bunching: complex
@@ -347,17 +352,19 @@ def run(config: SimConfig) -> tuple[Trajectory, Diagnostics]:
             rows.append((s.tau, s.amp, s.phi, b.real, b.imag, pm, conserved))
             p_max_abs = max(p_max_abs, float(np.abs(s.p).max()))
     traj = Trajectory(rows)
-    return traj, _diagnose(traj, config, p_max_abs)
+    return traj, _diagnose(traj, p_max_abs)
 
 
-def _diagnose(traj: Trajectory, config: SimConfig, p_max_abs: float) -> Diagnostics:
+def _diagnose(traj: Trajectory, p_max_abs: float) -> Diagnostics:
     amps = traj.amp
-    growth = _fit_growth_rate(traj.tau, amps, config.seed_amp)
+    # the first record holds the start: the seed field amps[0] (real) and the bunching b0
+    b0 = complex(traj.bunch_re[0], traj.bunch_im[0])
+    growth = _fit_growth_rate(traj.tau, amps, cmath.rect(amps[0], -traj.phi[0]), b0)
     # In the linear regime a neutral mode (lambda = i) of about the start's size,
     # max(seed_amp, |b0|), beats against the growing one, so |A| can dip and
     # recover there. 100 times above the start it can no longer reverse the
     # growth; past the fit window's top the linear regime is over in any case.
-    start = max(config.seed_amp, abs(complex(traj.bunch_re[0], traj.bunch_im[0])))
+    start = max(float(amps[0]), abs(b0))
     sat_idx = _first_local_max(amps, min(_LINEAR_TOP, 100.0 * start))
     if sat_idx is None:
         sat_peak, sat_tau, b_idx = math.nan, math.nan, len(amps) - 1
@@ -373,19 +380,45 @@ def _diagnose(traj: Trajectory, config: SimConfig, p_max_abs: float) -> Diagnost
     )
 
 
-def _fit_growth_rate(tau: np.ndarray, amp: np.ndarray, seed_amp: float) -> float:
-    """Least-squares slope of ln(amp) over the first pass of [10·seed, 0.1]."""
-    lo, hi = 10.0 * seed_amp, _LINEAR_TOP
-    above = np.nonzero(amp >= lo)[0]
-    if above.size == 0:
+def _fit_growth_rate(tau: np.ndarray, amp: np.ndarray, a0: complex, b0: complex) -> float:
+    """The rate g of the linear theory that fits ln(amp) best over the linear regime.
+
+    The model is scaling.linear_field's solution with its rate left free,
+    A(tau) = sum_k c_k·e^{g·l_k·tau} with l_k the cube roots of -i over sqrt(3)/2
+    and c_k = (a0 + b0/(g·l_k))/3, so that A = a0 and A' = b0 at the first
+    record. The window runs from the first record up to, not including, the
+    first with amp > 0.1; g minimizes the squared error in ln|A| over it, by
+    golden-section search in _RATE_BRACKET. NaN when |b0| >= 0.1 (the start is
+    past the linear regime) or when fewer than two records lie in the window.
+    """
+    beyond = np.flatnonzero(amp > _LINEAR_TOP)
+    n = int(beyond[0]) if beyond.size else amp.shape[0]
+    if not abs(b0) < _LINEAR_TOP or n < 2:
         return math.nan
-    i0 = int(above[0])
-    beyond = np.nonzero(amp[i0:] > hi)[0]
-    i1 = int(i0 + beyond[0]) if beyond.size else amp.shape[0]
-    if i1 - i0 < 2:
-        return math.nan
-    slope = np.polyfit(tau[i0:i1], np.log(amp[i0:i1]), 1)[0]
-    return float(slope)
+    t = tau[:n] - tau[0]
+    log_amp = np.log(amp[:n])
+
+    def misfit(g: float) -> float:
+        rates = g * _UNIT_RATES
+        # e^{g·t} is taken out of every term (no real part of l_k exceeds 1), so none overflows
+        terms = np.exp(np.multiply.outer(t, rates - g)) @ ((a0 + b0 / rates) / 3.0)
+        error = np.log(np.abs(terms)) + g * t - log_amp
+        return float(error @ error)
+
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = _RATE_BRACKET
+    x1, x2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    f1, f2 = misfit(x1), misfit(x2)
+    while hi - lo > _RATE_TOL:
+        if f1 < f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - shrink * (hi - lo)
+            f1 = misfit(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + shrink * (hi - lo)
+            f2 = misfit(x2)
+    return x1 if f1 < f2 else x2
 
 
 def _first_local_max(amp: np.ndarray, floor: float) -> int | None:

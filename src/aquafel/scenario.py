@@ -147,9 +147,9 @@ def run_scenario(config: ScenarioConfig, defaulted: list[str] | None = None) -> 
     """Full pipeline; writes summary.json and trajectory.csv under output_dir.
 
     The physical scales come from derive_chain's summary and the scaled
-    integration from _scaled_run. With P_z = 0 the simulation is skipped
-    (the scaled equations are degenerate) and the summary records the
-    mechanism-off outcome.
+    integration from _scaled_run. With the mechanism off (P_z = 0, or a zero
+    shell inversion, delta_w = 0) the simulation is skipped (the scaled
+    equations are degenerate) and the summary records the mechanism-off outcome.
     """
     summary = derive_chain(config, defaulted)
     derived = summary["derived"]

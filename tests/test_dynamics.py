@@ -454,13 +454,14 @@ def test_run_matches_rk4_through_saturation(saturating_run):
     peak = _first_local_max(amp, 0.0)  # this run's first local maximum is its peak
     assert diag.sat_tau == traj.tau[peak]
     assert abs(diag.sat_peak - amp[peak]) <= 1e-7
-    assert abs(diag.growth_rate_fit - _fit_growth_rate(traj.tau, amp, cfg.seed_amp)) <= 1e-7
+    b0 = complex(traj.bunch_re[0], traj.bunch_im[0])
+    assert abs(diag.growth_rate_fit - _fit_growth_rate(traj.tau, amp, reference[0], b0)) <= 1e-7
 
 
 def test_growth_rate_of_a_window_with_one_sample_is_nan():
-    # 2e-3 is the only amplitude in [10·seed, 0.1]: no line fits one point
-    amp = np.array([1e-4, 2e-3, 0.5])
-    assert math.isnan(_fit_growth_rate(np.arange(3.0), amp, 1e-4))
+    # only the first record lies at or below 0.1: no rate fits one point
+    amp = np.array([1e-4, 0.5, 0.6])
+    assert math.isnan(_fit_growth_rate(np.arange(3.0), amp, 1e-4, 0.0))
 
 
 def first_local_max_loop(amp, floor):
