@@ -357,7 +357,7 @@ def run(config: SimConfig) -> tuple[Trajectory, Diagnostics]:
 
 def _diagnose(traj: Trajectory, p_max_abs: float) -> Diagnostics:
     amps = traj.amp
-    # the first record holds the start: the seed field amps[0] (real) and the bunching b0
+    # the first record holds the start: the seed field and the bunching b0
     b0 = complex(traj.bunch_re[0], traj.bunch_im[0])
     growth = _fit_growth_rate(traj.tau, amps, cmath.rect(amps[0], -traj.phi[0]), b0)
     # In the linear regime a neutral mode (lambda = i) of about the start's size,
