@@ -6,12 +6,12 @@ usage:
 
 TREE is a checkout of this repository; its src/ is put on PYTHONPATH and its
 perfbench/batch.py runs the batch case. The command list, and the hostile-input
-and unusable-path cases of tests/test_cli.py, come from the checkout this script
-sits in, so two trees run the same commands. Each case runs in a fresh temporary
-directory with relative paths, so that stdout compares across trees. The record
-holds, per case, each command's exit code and the sha256 of its stdout and
-stderr, the sha256 of every file the case wrote, and the numeric fields of each
-summary.json it wrote.
+and unusable-path cases of tests/test_cli.py (imported, so pytest must be
+installed), come from the checkout this script sits in, so two trees run the
+same commands. Each case runs in a fresh temporary directory with relative
+paths, so that stdout compares across trees. The record holds, per case, each
+command's exit code and the sha256 of its stdout and stderr, the sha256 of
+every file the case wrote, and the numeric fields of each summary.json it wrote.
 
 diff prints every change between two records and exits 1 if there is one, 0 if
 not. The hashes are those of one machine: numpy's tan differs between CPUs.
