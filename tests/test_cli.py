@@ -1,6 +1,7 @@
 """CLI subcommands and exit-code contract."""
 
 import argparse
+import gc
 import itertools
 import json
 import math
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import aquafel
-from aquafel import dynamics, quadrature, spinstates, verify
+from aquafel import cli, dynamics, quadrature, spinstates, verify
 from aquafel.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -22,6 +23,7 @@ from aquafel.cli import (
     EXIT_VERIFY_FAILED,
     _scenario,
     build_parser,
+    console,
     main,
 )
 from aquafel.config import (
@@ -56,6 +58,42 @@ def test_derive_prints_chain(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["derived"]["A_sat_V_s_per_m"] == pytest.approx(5.1e-13, rel=0.10)
     assert payload["derived"]["l_c_m"] == pytest.approx(400e-6, rel=0.05)
+
+
+def test_console_runs_main_with_the_collector_off_and_freezes_the_heap(monkeypatch):
+    enabled_in_main = []
+
+    def fake_main():
+        enabled_in_main.append(gc.isenabled())
+        return 3
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    try:
+        with pytest.raises(SystemExit) as exited:
+            console()
+        assert exited.value.code == 3
+        assert enabled_in_main == [False]
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_leaves_the_collector_as_it_found_it(capsys, enabled):
+    (gc.enable if enabled else gc.disable)()
+    frozen = gc.get_freeze_count()
+    try:
+        assert main(["derive"]) == EXIT_OK
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        gc.enable()
+
+
+def test_the_console_script_is_the_process_entry():
+    # `python -m aquafel.cli` runs console(); the installed command must too
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert 'aquafel = "aquafel.cli:console"' in pyproject.read_text().splitlines()
 
 
 def test_plain_derive_is_the_preset_chain(capsys):

@@ -1,9 +1,17 @@
-"""The output ledger's diff mode (tools/ledger.py)."""
+"""The output ledger's run and diff modes (tools/ledger.py)."""
 
 import copy
+import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+from aquafel.cli import EXIT_CONFIG, EXIT_OK
 
 _SPEC = importlib.util.spec_from_file_location(
     "ledger", Path(__file__).resolve().parents[1] / "tools" / "ledger.py")
@@ -65,3 +73,23 @@ def test_numbers_keeps_the_numeric_leaves():
                "simulation": {"sat_peak": "nan", "note": "text"}, "applied_defaults": []}
     assert ledger._numbers(summary) == {"derived.P_z": 1e-7, "derived.n": 30,
                                         "simulation.sat_peak": "nan"}
+
+
+@pytest.mark.parametrize("case, code", [("derive", EXIT_OK),
+                                        ("hostile/config-dt-nan", EXIT_CONFIG)])
+def test_run_records_what_the_cli_prints(tmp_path, monkeypatch, case, code):
+    # the ledger's record of a case against this checkout, and the same command run
+    # directly as `python -m aquafel.cli` with the same relative paths
+    monkeypatch.setattr(sys, "path", list(sys.path))  # ledger_cases prepends to it
+    prepare = ledger.ledger_cases()[case]
+    record = ledger._run_case(ledger.REPO, prepare)
+    monkeypatch.chdir(tmp_path)
+    (argv,) = prepare(Path("."))
+    env = {**os.environ, "PYTHONPATH": str(ledger.REPO / "src")}
+    proc = subprocess.run([sys.executable, "-m", "aquafel.cli", *argv], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == code
+    (run,) = record["commands"]
+    assert run == {"argv": argv, "exit": code,
+                   "stdout": hashlib.sha256(proc.stdout).hexdigest(),
+                   "stderr": hashlib.sha256(proc.stderr).hexdigest()}

@@ -106,8 +106,8 @@ def _run_case(tree: Path, prepare) -> dict:
     return {"commands": runs, "files": files, "summaries": summaries}
 
 
-def run_ledger(tree: Path) -> dict:
-    """Run every case against tree; the ledger as a JSON-ready dict."""
+def ledger_cases() -> dict:
+    """name -> prepare, for _run_case: CASES and the cases of tests/test_cli.py."""
     sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
     from test_cli import HOSTILE_INPUTS, UNUSABLE_PATHS, hostile_argv, write_path_fixtures
 
@@ -129,8 +129,13 @@ def run_ledger(tree: Path) -> dict:
     cases.update({f"hostile/{case}": lambda d, case=case: [hostile_argv(case, d)]
                   for case in HOSTILE_INPUTS})
     cases.update({f"path/{case}": unusable(argv) for case, (argv, _) in UNUSABLE_PATHS.items()})
+    return cases
+
+
+def run_ledger(tree: Path) -> dict:
+    """Run every case against tree; the ledger as a JSON-ready dict."""
     return {"tree": str(tree),
-            "cases": {name: _run_case(tree, prepare) for name, prepare in cases.items()}}
+            "cases": {name: _run_case(tree, prepare) for name, prepare in ledger_cases().items()}}
 
 
 def diff_ledgers(old: dict, new: dict) -> list[str]:
