@@ -5,9 +5,10 @@ polarization -> shell inversion -> gain coefficients, as the "derived"
 part of the summary. run_scenario calls it, integrates, rescales the
 scaled results by the A_sat and t_gain that the summary reports, and
 writes a self-contained summary.json plus a trajectory.csv time series.
-All floats in the CSV are written with 17 significant digits in
+All floats in the CSVs are written with 17 significant digits in
 scientific notation so outputs are bitwise reproducible and round-trip
-exactly.
+exactly. Every output file is written as bytes (UTF-8 text with LF line
+ends), so it is byte-identical on every platform.
 
 The equations of motion are in scaled units, so the physical inputs
 (rho, P_z, T, n, delta_w) enter only through the rescaling by A_sat and
@@ -17,6 +18,10 @@ trajectory, and _format_trajectory formats the CSV text once per
 trajectory, so each config that shares it writes the same bytes. Both
 are sound because a Trajectory is read-only from the moment it is built,
 and the files are the bytes a fresh integration would give.
+
+write_sweep_csv formats a whole rho row with one % operation on a bytes
+template that holds the row's preformatted P_z column, so a 200 x 200 grid
+costs little more than CPython's "%.16e" on its 80,000 scale values.
 
 derive_chain, sweep and write_sweep_csv are plain float arithmetic. The
 integrator (dynamics) and numpy are imported only inside the functions
@@ -195,7 +200,9 @@ def run_scenario(config: ScenarioConfig, defaulted: list[str] | None = None) -> 
 
 
 def write_summary(summary: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    """Write summary as sorted, indented JSON: UTF-8 bytes with LF line ends on
+    every platform."""
+    Path(path).write_bytes((json.dumps(summary, indent=2, sort_keys=True) + "\n").encode())
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
@@ -314,12 +321,37 @@ def sweep(rho_values, pz_values, n: int = 30, delta_w: float = DELTA_W_LIMIT_CYC
 
 def write_sweep_csv(grid: SweepGrid, path: Path) -> None:
     """One row per point in rho-major order, each value as "%.16e" (the text of
-    f"{v:.16e}"), written one rho row of the grid at a time; each rho and P_z is
-    formatted once, and each line with one % operation."""
-    pz_text = [f"{v:.16e}" for v in grid.P_z]
-    with Path(path).open("w") as fh:
-        fh.write(SWEEP_HEADER + "\n")
+    f"{v:.16e}"), written one rho row of the grid at a time, so memory stays
+    O(len(P_z)) however many rho values there are.
+
+    The P_z column is the same for every rho row, so it is formatted once, into
+    a bytes template for a whole row; each row is then one % operation on its
+    preformatted rho and its A_sat and t_gain values, written to a binary file.
+    A grid whose scale rows do not match its axes raises ValueError before the
+    file is opened.
+    """
+    _check_sweep_shape(grid)
+    m = len(grid.P_z)
+    template = b"".join([b"%s," + b"%.16e" % pz + b",%.16e,%.16e\n" for pz in grid.P_z])
+    with Path(path).open("wb") as fh:
+        fh.write(SWEEP_HEADER.encode() + b"\n")
         for rho, A_row, t_row in zip(grid.rho, grid.A_sat, grid.t_gain):
-            head = f"{rho:.16e}"
-            fh.write("".join(["%s,%s,%.16e,%.16e\n" % (head, pz, a, t)
-                              for pz, a, t in zip(pz_text, A_row, t_row)]))
+            args = [b"%.16e" % rho] * (3 * m)
+            args[1::3] = A_row
+            args[2::3] = t_row
+            fh.write(template % tuple(args))
+
+
+def _check_sweep_shape(grid: SweepGrid) -> None:
+    """Raise ValueError unless A_sat and t_gain each hold one row per rho and
+    every row one value per P_z."""
+    n_rho, n_pz = len(grid.rho), len(grid.P_z)
+    for name in ("A_sat", "t_gain"):
+        rows = getattr(grid, name)
+        if len(rows) != n_rho:
+            raise ValueError(f"sweep grid: expected one {name} row per rho value "
+                             f"({n_rho}), got {len(rows)}")
+        for i, row in enumerate(rows):
+            if len(row) != n_pz:
+                raise ValueError(f"sweep grid: {name} row {i} (rho = {grid.rho[i]!r}) has "
+                                 f"{len(row)} values, expected one per P_z value ({n_pz})")

@@ -115,7 +115,8 @@ def render_svg(traj: Trajectory, log_scale: bool = False) -> str:
 
 
 def emit_plot(traj: Trajectory, path: str | Path, log_scale: bool = False) -> Path:
-    """Write the SVG chart; byte-identical output for identical input."""
+    """Write the SVG chart as UTF-8 bytes; byte-identical output for identical
+    input, on every platform."""
     path = Path(path)
-    path.write_text(render_svg(traj, log_scale=log_scale))
+    path.write_bytes(render_svg(traj, log_scale=log_scale).encode())
     return path
