@@ -76,7 +76,11 @@ class _SimFields(NamedTuple):
 class SimConfig(_SimFields):
     """Integrator settings, all in scaled units, checked when built.
 
-    _make, and so _replace, builds through the same checks.
+    dt is a grid and an accuracy, not the integrator's step: the run records
+    every record_stride steps of dt and the last, and each record is at least
+    as accurate as the triple jump at dt would make it (dynamics.interval_plan
+    crosses longer intervals in fewer, longer S6 steps). _make, and so
+    _replace, builds through the same checks.
     """
 
     __slots__ = ()

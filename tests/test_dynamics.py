@@ -177,6 +177,30 @@ def test_step_halving_shows_fourth_order():
     assert 12.0 <= ratio <= 20.0
 
 
+def test_s6_step_halving_shows_fourth_order():
+    rng = np.random.default_rng(3)
+    n = 64
+    theta, p = rng.uniform(0.0, 2.0 * math.pi, n), rng.normal(0.0, 0.3, n)
+
+    def advance(dt, k):
+        s = EnsembleState(theta.copy(), p.copy(), 0.3 + 0.2j, 0.0)
+        for _ in range(k):
+            s = step(s, dt, dynamics.S6)
+        return s
+
+    ref = advance(0.4 / 512, 512)
+
+    def err(s):
+        return max(
+            float(np.abs(s.theta - ref.theta).max()),
+            float(np.abs(s.p - ref.p).max()),
+            abs(s.field - ref.field),
+        )
+
+    ratio = err(advance(0.4, 1)) / err(advance(0.2, 2))
+    assert 14.0 <= ratio <= 18.0
+
+
 def test_conserved_drift_over_ten_thousand_steps():
     cfg = SimConfig(n_particles=1024, dt=0.01, tau_end=100.0, seed_amp=1e-4,
                     init_mode="quiet-start", rng_seed=7, record_stride=20)
@@ -235,6 +259,25 @@ def test_run_rejects_overflowing_field_energy():
         run(small_config(seed_amp=1e200, tau_end=0.5))
 
 
+def test_a_blowup_inside_an_s6_interval_names_the_tau_of_the_failing_step(monkeypatch):
+    # stride 10: each interval is three S6 steps of h = 0.1/3, each 6 phase evaluations
+    # after the start's one; evaluation 28 falls in the second step of the second interval
+    calls = []
+    phase_factors = dynamics._phase_factors
+
+    def poisoned(theta, *rest):
+        calls.append(None)
+        if len(calls) == 28:
+            theta = np.full_like(theta, math.nan)
+        return phase_factors(theta, *rest)
+
+    monkeypatch.setattr(dynamics, "_phase_factors", poisoned)
+    with pytest.raises(NumericalBlowupError, match="after step") as info:
+        run(small_config(n_particles=64, tau_end=0.3, record_stride=10))
+    tau = float(str(info.value).rpartition("tau=")[2])
+    assert abs(tau - (0.1 + 0.1 / 3)) <= 1e-15
+
+
 # --- trajectory-level properties ----------------------------------------------
 
 
@@ -273,6 +316,11 @@ def test_run_is_bitwise_deterministic():
     assert d1 == d2
 
 
+#: The steps run takes over 23 steps of dt = 0.01 recorded every 5: each interval
+#: of 5 is two S6 steps of 0.025, and the last, of 3, one S6 step of 0.03.
+STRIDE_5_PLAN = [(0.025, dynamics.S6)] * 8 + [(0.03, dynamics.S6)]
+
+
 def test_run_records_the_last_step_off_the_stride():
     # 23 steps with a stride of 5: rows at 0, 5, ..., 20 and the final step 23
     cfg = small_config(n_particles=64, dt=0.01, tau_end=0.23, record_stride=5)
@@ -281,9 +329,43 @@ def test_run_records_the_last_step_off_the_stride():
     assert traj.tau.tolist() == [k * 0.01 for k in (0, 5, 10, 15, 20, 23)]
     assert traj.tau[-1] == cfg.tau_end
     state = init_ensemble(cfg)
-    for _ in range(23):
+    for h, scheme in STRIDE_5_PLAN:
+        state = step(state, h, scheme)
+    assert np.array_equal(bits(traj.table[-1, 1:]), bits(record_row(state)[1:]))
+
+
+def record_row(state):
+    """The trajectory row run records for state."""
+    b, pm = state.bunching(), float(dynamics.pairwise_mean(state.p))
+    return (state.tau, state.amp, state.phi, b.real, b.imag, pm, pm + state.amp * state.amp)
+
+
+@pytest.mark.parametrize("record_stride", [1, 2])
+def test_strides_of_one_and_two_are_the_triple_jump_at_dt(record_stride):
+    # an interval of 1 or 2 steps takes the triple jump at exactly dt, so these runs
+    # keep the bits they had before run chose a composition per interval
+    cfg = small_config(n_particles=512, tau_end=1.5, record_stride=record_stride,
+                       init_mode="uniform-random")
+    traj, _ = run(cfg)
+    state = init_ensemble(cfg)
+    rows = [record_row(state)]
+    for i in range(1, cfg.n_steps + 1):
         state = step(state, cfg.dt)
-    assert traj.amp[-1] == state.amp
+        state.tau = i * cfg.dt
+        if i % record_stride == 0 or i == cfg.n_steps:
+            rows.append(record_row(state))
+    assert np.array_equal(bits(traj.table), bits(np.array(rows)))
+
+
+def test_interval_plan_takes_s6_wherever_it_saves_evaluations():
+    for n_dt in range(1, 41):
+        steps, h, scheme = dynamics.interval_plan(n_dt, 0.01)
+        if n_dt <= 2:
+            assert (steps, h, scheme) == (n_dt, 0.01, dynamics.TRIPLE_JUMP)
+        else:
+            # no S6 step is more than 4 dt long, and S6's 6 evaluations per step beat 3·n_dt
+            assert scheme == dynamics.S6 and steps == math.ceil(n_dt / 4)
+            assert h == n_dt * 0.01 / steps and 6 * steps < 3 * n_dt
 
 
 def test_growth_rate_converges_with_particle_count():
@@ -384,20 +466,68 @@ def test_linear_regime_amplitude_is_the_closed_form_to_second_order(n_particles)
     assert np.all(deviation <= 1e-6 + 0.25 * amp**2)
 
 
-def test_second_first_integral_is_conserved():
-    # H = <p^2>/2 - 2 Im(A conj(b)) is conserved besides <p> + |A|^2
+def hamiltonian_drift(h, scheme, n_steps):
+    """Max |H - H0| of H = <p^2>/2 - 2 Im(A conj(b)) over n_steps steps of h from the
+    256-particle quiet start, and the final state."""
     def hamiltonian(s):
         return float(np.mean(s.p**2)) / 2.0 - 2.0 * (s.field * np.conj(s.bunching())).imag
 
-    cfg = small_config(n_particles=256, tau_end=30.0, rng_seed=7)
-    state = init_ensemble(cfg)
+    state = init_ensemble(small_config(n_particles=256, tau_end=30.0, rng_seed=7))
     h0 = hamiltonian(state)
     drift = 0.0
-    for _ in range(cfg.n_steps):
-        state = step(state, cfg.dt)
+    for _ in range(n_steps):
+        state = step(state, h, scheme)
         drift = max(drift, abs(hamiltonian(state) - h0))
+    return drift, state
+
+
+def test_second_first_integral_is_conserved():
+    # H is conserved besides <p> + |A|^2: the triple jump at dt = 0.01 to tau = 30
+    drift, state = hamiltonian_drift(0.01, dynamics.TRIPLE_JUMP, 3000)
     assert state.amp > 0.1  # the run went through saturation
     assert drift < 1e-8
+
+
+def test_s6_at_four_times_the_step_conserves_the_second_first_integral():
+    # the same run stepped by S6 at h = 0.04: 750 steps drift by about 1.0e-9
+    drift, state = hamiltonian_drift(0.04, dynamics.S6, 750)
+    assert state.amp > 0.1
+    assert drift < 1e-8
+
+
+def fields_at_every_dt(cfg, substeps):
+    """field after each of cfg.n_steps steps of dt, by substeps triple-jump steps each."""
+    state = init_ensemble(cfg)
+    fields = [state.field]
+    for _ in range(cfg.n_steps):
+        for _ in range(substeps):
+            state = step(state, cfg.dt / substeps)
+        fields.append(state.field)
+    return np.array(fields)
+
+
+@pytest.mark.parametrize(("n_particles", "init_mode", "tau_end", "rng_seed"), [
+    (512, "quiet-start", 30.0, 12345), (256, "uniform-random", 12.0, 1)])
+def test_records_are_as_accurate_as_the_triple_jump_at_dt(n_particles, init_mode, tau_end,
+                                                          rng_seed):
+    # against the triple jump at dt/10, the field error of every record over tau <= 15
+    # and over the whole run is no larger than a triple-jump run at dt makes there
+    # (measured: 2.1e-8 against 9.4e-8 over tau <= 30 at N = 512, stride 10)
+    cfg = small_config(n_particles=n_particles, init_mode=init_mode, tau_end=tau_end,
+                       rng_seed=rng_seed, record_stride=1)
+    reference = fields_at_every_dt(cfg, 10)
+    triple_jump = recorded_fields(run(cfg)[0])
+    for stride in (5, 10):
+        traj = run(cfg._replace(record_stride=stride))[0]
+        index = np.round(traj.tau / cfg.dt).astype(int)
+        error = np.abs(recorded_fields(traj) - reference[index])
+        bound = np.abs(triple_jump[index] - reference[index])
+        for window in (traj.tau <= 15.0, traj.tau <= tau_end):
+            assert np.max(error[window]) <= np.max(bound[window])
+
+
+def recorded_fields(traj):
+    return traj.amp * np.exp(-1j * traj.phi)
 
 
 # --- the symplectic step against RK4 ---------------------------------------------
@@ -502,7 +632,9 @@ def test_kicks_conserve_momentum_plus_field_energy_to_rounding(saturating_run):
 
 @pytest.mark.parametrize(("record_stride", "rows"), [(1, 24), (5, 6)])
 def test_each_step_evaluates_the_phases_three_times(monkeypatch, record_stride, rows):
-    # the initial state's phases, then 3 per step; a recorded bunching adds none
+    # the initial state's phases, then one per drift of each step run takes: 3 for a
+    # triple-jump step (stride 1), 6 for an S6 step (stride 5); a recorded bunching
+    # adds none
     calls = []
     phase_factors = dynamics._phase_factors
 
@@ -514,7 +646,8 @@ def test_each_step_evaluates_the_phases_three_times(monkeypatch, record_stride, 
     cfg = small_config(n_particles=64, tau_end=0.23, record_stride=record_stride)
     traj, _ = run(cfg)
     assert len(traj) == rows
-    assert len(calls) == 3 * cfg.n_steps + 1
+    plan = [(cfg.dt, dynamics.TRIPLE_JUMP)] * 23 if record_stride == 1 else STRIDE_5_PLAN
+    assert len(calls) == 1 + sum(len(kicks) - 1 for _, (kicks, _) in plan)
 
 
 def bits(values):
@@ -577,9 +710,9 @@ def test_run_reaches_the_step_and_bunching_hooks(monkeypatch):
     calls = {"step": 0, "bunching": 0}
     step_fn, bunching_fn = dynamics.step, EnsembleState.bunching
 
-    def counting_step(state, dt):
+    def counting_step(*args):
         calls["step"] += 1
-        return step_fn(state, dt)
+        return step_fn(*args)
 
     def counting_bunching(state):
         calls["bunching"] += 1
@@ -589,7 +722,7 @@ def test_run_reaches_the_step_and_bunching_hooks(monkeypatch):
     monkeypatch.setattr(EnsembleState, "bunching", counting_bunching)
     cfg = small_config(n_particles=64, tau_end=0.23, record_stride=5)
     traj, _ = run(cfg)
-    assert calls == {"step": cfg.n_steps, "bunching": len(traj)}
+    assert calls == {"step": len(STRIDE_5_PLAN), "bunching": len(traj)}
 
 
 def test_cold_beam_first_peak_is_universal(saturating_run):

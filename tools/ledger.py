@@ -43,6 +43,11 @@ CASES = {
         ["simulate", "--config", "sat.cfg", "--plot", "--out", "out"],
         ["plot", "--traj", "out/trajectory.csv", "--log-scale", "--out", "log.svg"],
     ]),
+    # the two sides of dynamics.interval_plan's choice: an interval of 2 steps takes
+    # the triple jump at dt, one of 3 a single S6 step
+    **{f"simulate-stride-{k}": ({"sat.cfg": _SATURATING.replace("stride = 1", f"stride = {k}")},
+                                [["simulate", "--config", "sat.cfg", "--out", "out"]])
+       for k in (2, 3)},
     "derive": ({}, [["derive"]]),
     "verify": ({}, [["verify"]]),
     "sweep-with-pz-0": ({}, [["sweep", "--rhos", _SWEEP_RHOS, "--pzs", _SWEEP_PZS,
